@@ -8,6 +8,7 @@ import sys
 from . import experiment
 from .benchgen import CrMode, SynthSpec, gen_cuccaro, gen_mcmt, gen_qft, gen_quantum_volume, gen_synthetic
 from .circuit import serialize_circuit
+from .protocol import ProtocolError
 from .topology import MeshTopology
 
 
@@ -16,7 +17,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as error:
+    except (ValueError, OSError, ProtocolError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 

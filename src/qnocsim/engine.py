@@ -22,10 +22,13 @@ strictly sequential.
 from __future__ import annotations
 
 import heapq
-from bisect import insort
-from dataclasses import dataclass
+from bisect import bisect_right, insort
+from dataclasses import dataclass, replace
+from functools import cached_property
 
-from .circuit import Circuit, TELEPORT_NAME, depth, layerize
+# depth stays bound here although run no longer calls it: perfbench/tracing.py
+# wraps engine.depth by name.
+from .circuit import Circuit, TELEPORT_NAME, depth, layerize  # noqa: F401
 from .placement import PlacementMap
 from .protocol import TimingConfig, entanglement_attempts, request_stream
 from .strategy import STRATEGIES, plan
@@ -51,7 +54,7 @@ class SimConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HopRecord:
     gate_id: int
     chain: int
@@ -95,8 +98,14 @@ class SimReport:
     max_core_occupancy: int
     requests: tuple[RequestRecord, ...]
     hops: tuple[HopRecord, ...]
-    expanded_circuit: Circuit
+    expanded_ops: tuple[tuple[str, tuple[int, ...]], ...]  # (name, qubits), ordered by simulated completion
     final_placement: tuple[int, ...]  # qubit -> core after the last layer
+
+    @cached_property
+    def expanded_circuit(self) -> Circuit:
+        """The circuit with one teleport marker per hop on each moved qubit,
+        ordered by simulated completion. Built and validated on first access."""
+        return Circuit.from_ops(len(self.final_placement), self.expanded_ops)
 
 
 class _Resources:
@@ -109,10 +118,10 @@ class _Resources:
 
     def comm_free_at(self, core: int, t: float) -> float:
         """Earliest time >= t when the core has a free communication qubit."""
-        active = [r for r in self.core_releases[core] if r > t]
-        if len(active) < self.m:
+        releases = self.core_releases[core]  # sorted; those after t are still held
+        if len(releases) - bisect_right(releases, t) < self.m:
             return t
-        return active[len(active) - self.m]
+        return releases[-self.m]
 
     def grant(self, link: tuple[int, int], a: int, b: int, start: float, finish: float):
         self.link_busy_until[link] = finish
@@ -123,17 +132,32 @@ class _Resources:
 class _Chain:
     """One qubit's hop sequence within a request."""
 
-    __slots__ = ("gate_id", "index", "qubit", "hops", "position", "finish", "rng", "attempts")
+    __slots__ = ("gate_id", "index", "qubit", "marker", "hops", "position", "finish", "rng", "attempts")
 
     def __init__(self, gate_id, index, qubit, start_core, hops, start_time, rng):
         self.gate_id = gate_id
         self.index = index
         self.qubit = qubit
+        self.marker = (TELEPORT_NAME, (qubit,))  # expanded-circuit op shared by every hop
         self.hops = hops
         self.position = start_core
         self.finish = start_time  # data qubit available at current position
         self.rng = rng
         self.attempts = 0
+
+
+class _Request:
+    """One inter-core request of the current layer."""
+
+    __slots__ = ("gate", "src_core", "dst_core", "distance", "rounds", "chains")
+
+    def __init__(self, gate, src_core, dst_core, distance, rounds):
+        self.gate = gate
+        self.src_core = src_core
+        self.dst_core = dst_core
+        self.distance = distance
+        self.rounds = rounds
+        self.chains: list[_Chain] = []
 
 
 def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
@@ -145,8 +169,11 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
     """
     topo = cfg.topology
     timing = cfg.timing
+    t_gate = timing.t_gate
     placement = PlacementMap.initial_mapping(circuit.num_qubits, topo, cfg.n_per_core)
     layers = layerize(circuit)
+    gate_by_id = circuit.gate_by_id
+    core_of, relocate, occupancy_of = placement.core_of, placement.relocate, placement.occupancy
 
     now = 0.0
     comm_sum = 0.0
@@ -159,32 +186,24 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
 
     for layer in layers:
         layer_end = now
+        local_finish = now + t_gate
         chains: list[_Chain] = []
-        requests: list[dict] = []
+        requests: list[_Request] = []
         for gate_id in layer:
-            gate = circuit.gate_by_id(gate_id)
+            gate = gate_by_id(gate_id)
             if not gate.is_two_qubit:
-                finish = now + timing.t_gate
-                layer_end = max(layer_end, finish)
-                completions.append((finish, gate_id, 1, 0, 0, (gate.name, gate.qubits)))
+                layer_end = max(layer_end, local_finish)
+                completions.append((local_finish, gate_id, 1, 0, 0, (gate.name, gate.qubits)))
                 continue
             q_src, q_dst = gate.qubits
-            src_core = placement.core_of(q_src)
-            dst_core = placement.core_of(q_dst)
+            src_core = core_of(q_src)
+            dst_core = core_of(q_dst)
             if src_core == dst_core:
-                finish = now + timing.t_gate
-                layer_end = max(layer_end, finish)
-                completions.append((finish, gate_id, 1, 0, 0, (gate.name, gate.qubits)))
+                layer_end = max(layer_end, local_finish)
+                completions.append((local_finish, gate_id, 1, 0, 0, (gate.name, gate.qubits)))
                 continue
             comm_plan = plan(cfg.strategy, topo, src_core, dst_core)
-            request = {
-                "gate": gate,
-                "src_core": src_core,
-                "dst_core": dst_core,
-                "distance": topo.hop_distance(src_core, dst_core),
-                "rounds": comm_plan.rounds,
-                "chains": [],
-            }
+            request = _Request(gate, src_core, dst_core, topo.hop_distance(src_core, dst_core), comm_plan.rounds)
             for chain_idx, (qubit, start_core, hops) in enumerate(
                 [(q_src, src_core, comm_plan.src_hops), (q_dst, dst_core, comm_plan.dst_hops)]
             ):
@@ -194,28 +213,31 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
                     gate_id, chain_idx, qubit, start_core, hops, now,
                     request_stream(cfg.seed, gate_id, chain_idx),
                 )
-                request["chains"].append(chain)
+                request.chains.append(chain)
                 chains.append(chain)
             requests.append(request)
 
         relocations = _drain_hops(topo, timing, cfg, chains, now, hop_records, completions)
 
-        for finish, gate_id, chain_idx, hop_idx, qubit, dst in sorted(relocations):
-            if placement.relocate(qubit, dst):
+        relocations.sort()
+        for _finish, _gate_id, _chain_idx, _hop_idx, qubit, dst in relocations:
+            if relocate(qubit, dst):
                 congestion_events += 1
-            max_occupancy = max(max_occupancy, placement.occupancy(dst))
+            occupancy = occupancy_of(dst)
+            if occupancy > max_occupancy:
+                max_occupancy = occupancy
 
         layer_latency = 0.0
         for request in requests:
-            arrival = max(chain.finish for chain in request["chains"])
-            attempts = sum(chain.attempts for chain in request["chains"])
-            gate = request["gate"]
+            arrival = max(chain.finish for chain in request.chains)
+            attempts = sum(chain.attempts for chain in request.chains)
+            gate = request.gate
             record = RequestRecord(
                 gate_id=gate.gate_id,
-                src_core=request["src_core"],
-                dst_core=request["dst_core"],
-                distance=request["distance"],
-                rounds=request["rounds"],
+                src_core=request.src_core,
+                dst_core=request.dst_core,
+                distance=request.distance,
+                rounds=request.rounds,
                 attempts=attempts,
                 issue=now,
                 arrival=arrival,
@@ -223,17 +245,16 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
             request_records.append(record)
             comm_sum += record.latency
             layer_latency = max(layer_latency, record.latency)
-            gate_finish = arrival + timing.t_gate
+            gate_finish = arrival + t_gate
             layer_end = max(layer_end, gate_finish)
             completions.append((gate_finish, gate.gate_id, 1, 0, 0, (gate.name, gate.qubits)))
 
         comm_critical += layer_latency
         now = layer_end
 
-    completions.sort(key=lambda c: c[:5])
-    expanded = Circuit.from_ops(circuit.num_qubits, [c[5] for c in completions]) if completions else Circuit(
-        circuit.num_qubits, ()
-    )
+    # (time, gate_id, rank, chain, hop) is unique, so the ops are never compared.
+    completions.sort()
+    expanded_ops = tuple([completion[5] for completion in completions])
     return SimReport(
         strategy=cfg.strategy,
         seed=cfg.seed,
@@ -241,56 +262,84 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
         comm_delay_sum=comm_sum,
         comm_delay_critical=comm_critical,
         original_depth=len(layers),
-        expanded_depth=depth(expanded),
+        expanded_depth=_ops_depth(circuit.num_qubits, expanded_ops),
         inter_core_requests=len(request_records),
         congestion_events=congestion_events,
         max_core_occupancy=max_occupancy,
         requests=tuple(request_records),
         hops=tuple(hop_records),
-        expanded_circuit=expanded,
+        expanded_ops=expanded_ops,
         final_placement=tuple(placement.core_of(q) for q in range(circuit.num_qubits)),
     )
+
+
+def _ops_depth(num_qubits: int, ops) -> int:
+    """Depth of the circuit the ops form, by per-qubit level counters; equals
+    depth(Circuit.from_ops(num_qubits, ops)) without building the gates."""
+    level = [0] * num_qubits
+    for _name, qubits in ops:
+        if len(qubits) == 1:
+            level[qubits[0]] += 1
+        else:
+            a, b = qubits
+            level[a] = level[b] = (level[a] if level[a] > level[b] else level[b]) + 1
+    return max(level)
 
 
 def _drain_hops(topo, timing, cfg, chains, layer_start, hop_records, completions):
     """Grant every hop of the layer's chains; returns relocation events."""
     resources = _Resources(topo.num_cores, cfg.m_per_core)
+    link_busy_until = resources.link_busy_until
+    comm_free_at = resources.comm_free_at
+    grant = resources.grant
+    link_between = topo.bsm_link_between
+    attempts_of = entanglement_attempts
+    p_bsm, t_epr, max_attempts = timing.p_bsm, timing.t_epr, timing.max_attempts
     tail = timing.t_meas + timing.t_classical + timing.t_correct
+    pipelined = cfg.pipeline_hops
+    heappush, heappop = heapq.heappush, heapq.heappop
+    add_hop, add_completion = hop_records.append, completions.append
+
     pending: list[tuple] = []
     for chain in chains:
-        if cfg.pipeline_hops:
+        if pipelined:
             for hop_idx in range(len(chain.hops)):
-                heapq.heappush(pending, (layer_start, chain.gate_id, chain.index, hop_idx, chain))
+                heappush(pending, (layer_start, chain.gate_id, chain.index, hop_idx, chain))
         else:
-            heapq.heappush(pending, (layer_start, chain.gate_id, chain.index, 0, chain))
+            heappush(pending, (layer_start, chain.gate_id, chain.index, 0, chain))
 
     relocations = []
+    add_relocation = relocations.append
+    # Same arithmetic as max(), written out; TimingConfig rejects NaN, on
+    # which the two would differ.
     while pending:
-        ready, gate_id, chain_idx, hop_idx, chain = heapq.heappop(pending)
+        ready, gate_id, chain_idx, hop_idx, chain = heappop(pending)
         src = chain.position
         dst = chain.hops[hop_idx]
-        link = topo.bsm_link_between(src, dst)
-        base = max(ready, resources.link_busy_until.get(link, 0.0))
-        start = max(base, resources.comm_free_at(src, base), resources.comm_free_at(dst, base))
-        attempts = entanglement_attempts(timing.p_bsm, chain.rng, timing.max_attempts)
-        epr_done = start + attempts * timing.t_epr
-        finish = max(epr_done, chain.finish) + tail
-        resources.grant(link, src, dst, start, finish)
-        hop_records.append(
-            HopRecord(
-                gate_id=gate_id, chain=chain_idx, hop_index=hop_idx, qubit=chain.qubit,
-                link=link, src_core=src, dst_core=dst, attempts=attempts,
-                start=start, finish=finish,
-            )
-        )
-        completions.append((finish, gate_id, 0, chain_idx, hop_idx, (TELEPORT_NAME, (chain.qubit,))))
-        relocations.append((finish, gate_id, chain_idx, hop_idx, chain.qubit, dst))
+        link = link_between(src, dst)
+        base = link_busy_until.get(link, 0.0)
+        if ready > base:
+            base = ready
+        start = comm_free_at(src, base)  # never earlier than base
+        dst_free = comm_free_at(dst, base)
+        if dst_free > start:
+            start = dst_free
+        attempts = attempts_of(p_bsm, chain.rng, max_attempts)
+        epr_done = start + attempts * t_epr
+        finish = chain.finish
+        if epr_done > finish:
+            finish = epr_done
+        finish += tail
+        grant(link, src, dst, start, finish)
+        qubit = chain.qubit
+        add_hop(HopRecord(gate_id, chain_idx, hop_idx, qubit, link, src, dst, attempts, start, finish))
+        add_completion((finish, gate_id, 0, chain_idx, hop_idx, chain.marker))
+        add_relocation((finish, gate_id, chain_idx, hop_idx, qubit, dst))
         chain.position = dst
         chain.finish = finish
         chain.attempts += attempts
-        next_hop = hop_idx + 1
-        if not cfg.pipeline_hops and next_hop < len(chain.hops):
-            heapq.heappush(pending, (finish, gate_id, chain_idx, next_hop, chain))
+        if not pipelined and hop_idx + 1 < len(chain.hops):
+            heappush(pending, (finish, gate_id, chain_idx, hop_idx + 1, chain))
     return relocations
 
 
@@ -342,7 +391,7 @@ def compare(circuit: Circuit, cfg: SimConfig) -> StrategyComparison:
     """Run both strategies with identical seeds; reductions are (hh - twt)/hh."""
     reports = {}
     for strategy in STRATEGIES:
-        reports[strategy] = run(circuit, _with_strategy(cfg, strategy))
+        reports[strategy] = run(circuit, replace(cfg, strategy=strategy))
     hh, twt = reports["hh"], reports["twt"]
     return StrategyComparison(
         hh=hh,
@@ -350,13 +399,6 @@ def compare(circuit: Circuit, cfg: SimConfig) -> StrategyComparison:
         comm_delay_sum_reduction=_reduction(hh.comm_delay_sum, twt.comm_delay_sum),
         comm_delay_critical_reduction=_reduction(hh.comm_delay_critical, twt.comm_delay_critical),
         expanded_depth_reduction=_reduction(hh.expanded_depth, twt.expanded_depth),
-    )
-
-
-def _with_strategy(cfg: SimConfig, strategy: str) -> SimConfig:
-    return SimConfig(
-        topology=cfg.topology, n_per_core=cfg.n_per_core, m_per_core=cfg.m_per_core,
-        timing=cfg.timing, strategy=strategy, seed=cfg.seed, pipeline_hops=cfg.pipeline_hops,
     )
 
 

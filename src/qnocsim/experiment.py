@@ -158,8 +158,7 @@ def timing_from_config(config: dict[str, str]) -> TimingConfig:
     )
 
 
-def sim_config_from(config: dict[str, str], strategy: str, seed: int) -> SimConfig:
-    topology = MeshTopology(_get_int(config, "mesh.width"), _get_int(config, "mesh.height"))
+def sim_config_from(config: dict[str, str], topology: MeshTopology, strategy: str, seed: int) -> SimConfig:
     return SimConfig(
         topology=topology,
         n_per_core=_get_int(config, "sim.n_per_core"),
@@ -203,10 +202,11 @@ def iter_points(config: dict[str, str]) -> list[RunPoint]:
     workload = config["workload"]
     strategies = _strategies(config)
     seeds = _seeds(config)
+    # One mesh for every point: each instance carries its own lookup tables.
+    topology = MeshTopology(_get_int(config, "mesh.width"), _get_int(config, "mesh.height"))
     points: list[RunPoint] = []
 
     if workload == "synthetic":
-        topology = MeshTopology(_get_int(config, "mesh.width"), _get_int(config, "mesh.height"))
         qpc = _get_int(config, "sim.n_per_core")
         cr_tokens = (
             [t.strip() for t in config["sweep.cr"].split(",") if t.strip()]
@@ -234,7 +234,7 @@ def iter_points(config: dict[str, str]) -> list[RunPoint]:
                                 seed=seed,
                                 strategy=strategy,
                                 circuit=circuit,
-                                cfg=sim_config_from(config, strategy, seed),
+                                cfg=sim_config_from(config, topology, strategy, seed),
                             )
                         )
         return points
@@ -249,7 +249,7 @@ def iter_points(config: dict[str, str]) -> list[RunPoint]:
                     seed=seed,
                     strategy=strategy,
                     circuit=circuit,
-                    cfg=sim_config_from(config, strategy, seed),
+                    cfg=sim_config_from(config, topology, strategy, seed),
                 )
             )
     return points

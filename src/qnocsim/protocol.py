@@ -19,6 +19,7 @@ generation the dominant cost and are overridable through configuration.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 
@@ -41,8 +42,9 @@ class TimingConfig:
 
     def __post_init__(self):
         for name in ("t_epr", "t_meas", "t_classical", "t_correct", "t_gate"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if not (0.0 < self.p_bsm <= 1.0):
             raise ValueError(f"p_bsm must be in (0, 1], got {self.p_bsm}")
         if self.max_attempts is not None and self.max_attempts < 1:

@@ -4,7 +4,8 @@ Cores are numbered row-major: core id = y * width + x, core 0 in the corner
 at (0, 0). Every pair of adjacent cores shares one Bell-state-measurement
 (BSM) node, identified by the canonical (low, high) core-id pair. Routes
 follow deterministic XY routing: correct the x coordinate first, then y.
-Instances are immutable after construction and safe to share.
+Instances are immutable after construction and safe to share; each builds
+its coordinate and link tables once.
 """
 
 from __future__ import annotations
@@ -20,6 +21,16 @@ class MeshTopology:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError(f"mesh dimensions must be positive, got {self.width}x{self.height}")
+        coords = tuple((core % self.width, core // self.width) for core in range(self.width * self.height))
+        links: dict[tuple[int, int], tuple[int, int]] = {}
+        for core, (x, y) in enumerate(coords):
+            if x < self.width - 1:
+                links[core, core + 1] = links[core + 1, core] = (core, core + 1)
+            if y < self.height - 1:
+                below = core + self.width
+                links[core, below] = links[below, core] = (core, below)
+        object.__setattr__(self, "_coords", coords)  # core id -> (x, y)
+        object.__setattr__(self, "_links", links)  # (a, b) and (b, a) -> canonical link id
 
     @property
     def num_cores(self) -> int:
@@ -39,16 +50,20 @@ class MeshTopology:
     def coord_of(self, core: int) -> tuple[int, int]:
         """(x, y) coordinate of a core id; inverse of core_at."""
         self._check_core(core)
-        return core % self.width, core // self.width
+        return self._coords[core]
 
     def _check_core(self, core: int):
-        if not (0 <= core < self.num_cores):
+        # Explicit bounds: a negative id must not wrap around the tables.
+        if not (0 <= core < len(self._coords)):
             raise ValueError(f"core {core} outside 0..{self.num_cores - 1}")
 
     def hop_distance(self, a: int, b: int) -> int:
         """Manhattan distance between two cores."""
-        ax, ay = self.coord_of(a)
-        bx, by = self.coord_of(b)
+        coords = self._coords
+        if not (0 <= a < len(coords) and 0 <= b < len(coords)):
+            self._check_core(a)
+            self._check_core(b)
+        (ax, ay), (bx, by) = coords[a], coords[b]
         return abs(ax - bx) + abs(ay - by)
 
     def is_adjacent(self, a: int, b: int) -> bool:
@@ -90,11 +105,12 @@ class MeshTopology:
 
     def bsm_link_between(self, a: int, b: int) -> tuple[int, int]:
         """Canonical id of the BSM link joining two adjacent cores."""
-        self._check_core(a)
-        self._check_core(b)
-        if not self.is_adjacent(a, b):
+        link = self._links.get((a, b))
+        if link is None:
+            self._check_core(a)
+            self._check_core(b)
             raise ValueError(f"no BSM link between non-adjacent cores {a} and {b}")
-        return (a, b) if a < b else (b, a)
+        return link
 
     def bsm_links(self) -> list[tuple[int, int]]:
         """All BSM links, one per unordered adjacent core pair."""

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from oracles import dag_depth_oracle, random_circuit
@@ -98,11 +100,20 @@ def test_expanded_depth_matches_independent_dag_oracle(strategy):
         random_circuit(16, 40, seed=3),
         gen_synthetic(SynthSpec(5, 2, CrMode("random", 6), 7), MESH, 8),
     ]
+    base = cfg_for(strategy, n=8, seed=7)
+    configs = [
+        base,
+        # zero durations: completions of adjacent layers tie in time
+        cfg_for(strategy, n=8, seed=7, t_epr=0, t_meas=0, t_classical=0, t_correct=0, t_gate=0),
+        replace(base, pipeline_hops=True),
+        cfg_for(strategy, n=8, seed=7, p_bsm=0.5),
+    ]
     for c in workloads:
-        report = run(c, cfg_for(strategy, n=8, seed=7))
-        assert report.expanded_depth == dag_depth_oracle(report.expanded_circuit)
-        assert report.expanded_depth == depth(report.expanded_circuit)
-        assert report.expanded_depth >= report.original_depth
+        for cfg in configs:
+            report = run(c, cfg)
+            assert report.expanded_depth == dag_depth_oracle(report.expanded_circuit)
+            assert report.expanded_depth == depth(report.expanded_circuit)
+            assert report.expanded_depth >= report.original_depth
 
 
 def test_expanded_circuit_inserts_one_marker_per_hop():

@@ -309,6 +309,18 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     code = cli.main(["plotdata", str(tmp_path / "missing.csv")])
     assert code == 1
+    code = cli.main(["run", "--workload", "qft", "--set", "timing.t_epr=nan", "--out", str(tmp_path)])
+    assert code == 1
+    assert "t_epr must be finite" in capsys.readouterr().err
+
+
+def test_cli_reports_attempt_exhaustion_and_keeps_the_csv_prefix(tmp_path, capsys):
+    argv = ["run", "--workload", "qft", "--set", "timing.p_bsm=0.01", "--set", "timing.max_attempts=1"]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: entanglement not heralded within 1 attempts")
+    assert "Traceback" not in err
+    assert (tmp_path / "results.csv").read_text() == ",".join(CSV_COLUMNS) + "\n"
 
 
 def test_cli_plotdata(tmp_path):

@@ -44,6 +44,13 @@ def test_invalid_probability_rejected():
         TimingConfig(t_epr=-1)
 
 
+@pytest.mark.parametrize("name", ["t_epr", "t_meas", "t_classical", "t_correct", "t_gate"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_durations_rejected(name, value):
+    with pytest.raises(ValueError, match=name):
+        TimingConfig(**{name: value})
+
+
 def test_hop_finish_is_the_sum_of_step_durations():
     cfg = TimingConfig(t_epr=10, t_meas=2, t_classical=1, t_correct=1, p_bsm=1.0)
     outcome = teleport_hop(MESH, 0, 1, 0.0, cfg, random.Random(0))

@@ -119,6 +119,10 @@ def test_bsm_link_rejects_non_adjacent_pair():
         t.bsm_link_between(0, 15)
     with pytest.raises(ValueError):
         t.bsm_link_between(2, 2)
+    with pytest.raises(ValueError, match="non-adjacent"):
+        t.bsm_link_between(3, 4)  # consecutive ids on different rows
+    with pytest.raises(ValueError, match="outside"):
+        t.bsm_link_between(-1, 0)  # must not wrap around a table
 
 
 def test_rejects_degenerate_dimensions():
