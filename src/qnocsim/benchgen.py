@@ -122,11 +122,7 @@ def _build_synthetic(spec, topology, qubits_per_core, rng):
     # already occupies. Every generated gate is then a genuine inter-core
     # request under either strategy, which is what the request count sweeps.
     def cores_at(origin, radius, avoid):
-        return [
-            c
-            for c in range(topology.num_cores)
-            if c != avoid and free[c] > 0 and topology.hop_distance(origin, c) == radius
-        ]
+        return [c for c in topology.ring(origin, radius) if c != avoid and free[c] > 0]
 
     def draw_radius(origin, avoid):
         if spec.cr_mode.kind == "fixed":
@@ -172,11 +168,8 @@ def _build_synthetic(spec, topology, qubits_per_core, rng):
 
 def _has_partner(topology, core, cr_mode, free):
     radii = [cr_mode.radius] if cr_mode.kind == "fixed" else range(1, cr_mode.radius + 1)
-    for radius in radii:
-        for other in range(topology.num_cores):
-            if other != core and free[other] > 0 and topology.hop_distance(core, other) == radius:
-                return True
-    return False
+    # Radii start at 1, so a ring never holds the core itself.
+    return any(free[other] > 0 for radius in radii for other in topology.ring(core, radius))
 
 
 def _derived_rng(seed: int, attempt: int) -> random.Random:

@@ -174,6 +174,7 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
     layers = layerize(circuit)
     gate_by_id = circuit.gate_by_id
     core_of, relocate, occupancy_of = placement.core_of, placement.relocate, placement.occupancy
+    draws = timing.p_bsm < 1  # at p_bsm == 1 no hop consumes randomness, so chains get no stream
 
     now = 0.0
     comm_sum = 0.0
@@ -209,10 +210,8 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
             ):
                 if not hops:
                     continue
-                chain = _Chain(
-                    gate_id, chain_idx, qubit, start_core, hops, now,
-                    request_stream(cfg.seed, gate_id, chain_idx),
-                )
+                rng = request_stream(cfg.seed, gate_id, chain_idx) if draws else None
+                chain = _Chain(gate_id, chain_idx, qubit, start_core, hops, now, rng)
                 request.chains.append(chain)
                 chains.append(chain)
             requests.append(request)

@@ -63,11 +63,11 @@ class TeleportOutcome:
     finish: float
 
 
-def entanglement_attempts(p_bsm: float, rng: random.Random, max_attempts: int | None = None) -> int:
+def entanglement_attempts(p_bsm: float, rng: random.Random | None, max_attempts: int | None = None) -> int:
     """Bernoulli trials up to and including the first heralded success.
 
     With p_bsm == 1 no randomness is consumed, so certain-success runs are
-    independent of the stream state.
+    independent of the stream state and rng may be None.
     """
     if not (0.0 < p_bsm <= 1.0):
         raise ValueError(f"p_bsm must be in (0, 1], got {p_bsm}")

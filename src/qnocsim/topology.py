@@ -83,6 +83,24 @@ class MeshTopology:
             out.append(core + 1)
         return tuple(out)
 
+    def ring(self, origin: int, radius: int) -> list[int]:
+        """Cores exactly radius hops from origin, in ascending id order.
+
+        Built row by row: each row within radius of the origin holds at most
+        the two cores radius - |dy| columns to either side.
+        """
+        ox, oy = self.coord_of(origin)
+        width = self.width
+        ring = []
+        for y in range(max(0, oy - radius), min(self.height - 1, oy + radius) + 1):
+            dx = radius - abs(y - oy)
+            row = y * width
+            if ox - dx >= 0:
+                ring.append(row + ox - dx)
+            if dx and ox + dx < width:
+                ring.append(row + ox + dx)
+        return ring
+
     def xy_route(self, src: int, dst: int) -> list[int]:
         """Deterministic XY route from src to dst, both endpoints included.
 
@@ -91,16 +109,11 @@ class MeshTopology:
         """
         sx, sy = self.coord_of(src)
         dx, dy = self.coord_of(dst)
-        route = [src]
-        x, y = sx, sy
-        step = 1 if dx > x else -1
-        while x != dx:
-            x += step
-            route.append(self.core_at(x, y))
-        step = 1 if dy > y else -1
-        while y != dy:
-            y += step
-            route.append(self.core_at(x, y))
+        corner = src + dx - sx  # destination column, source row
+        x_step = 1 if dx > sx else -1
+        y_step = self.width if dy > sy else -self.width
+        route = list(range(src, corner + x_step, x_step))
+        route.extend(range(corner + y_step, dst + y_step, y_step))
         return route
 
     def bsm_link_between(self, a: int, b: int) -> tuple[int, int]:

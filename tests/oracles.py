@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from qnocsim.circuit import Circuit
+from qnocsim.topology import MeshTopology
 
 
 def dag_depth_oracle(circuit: Circuit) -> int:
@@ -20,6 +21,23 @@ def dag_depth_oracle(circuit: Circuit) -> int:
         pred = [longest[j] for j in range(i) if operands & set(gates[j].qubits)]
         longest.append(1 + max(pred, default=0))
     return max(longest, default=0)
+
+
+def xy_route_by_steps(topology: MeshTopology, src: int, dst: int) -> list[int]:
+    """XY route walked one coordinate step at a time through core_at."""
+    sx, sy = topology.coord_of(src)
+    dx, dy = topology.coord_of(dst)
+    route = [src]
+    x, y = sx, sy
+    step = 1 if dx > x else -1
+    while x != dx:
+        x += step
+        route.append(topology.core_at(x, y))
+    step = 1 if dy > y else -1
+    while y != dy:
+        y += step
+        route.append(topology.core_at(x, y))
+    return route
 
 
 def random_circuit(num_qubits: int, num_gates: int, seed: int, two_qubit_bias: float = 0.6) -> Circuit:

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from qnocsim.benchgen import (
@@ -10,7 +12,7 @@ from qnocsim.benchgen import (
     gen_quantum_volume,
     gen_synthetic,
 )
-from qnocsim.circuit import depth
+from qnocsim.circuit import depth, serialize_circuit
 from qnocsim.topology import MeshTopology
 
 MESH = MeshTopology(4, 4)
@@ -97,6 +99,30 @@ def test_infeasible_requests_raise_generation_errors():
     # corner walk at radius 6 starves with one qubit per core
     with pytest.raises(GenerationError):
         gen_synthetic(SynthSpec(8, 1, CrMode("fixed", 6), 0), MESH, 1)
+
+
+# sha256 of serialize_circuit(gen_synthetic(...)), recorded before the
+# generator looked partners up by distance ring instead of scanning all cores.
+# Any change to the candidate order or to the sequence of random draws
+# changes these digests.
+PINNED_SYNTHETIC = [
+    # (width, height, cr mode, depth, requests per layer, qubits per core, seed, sha256)
+    (4, 4, "fixed:1", 10, 3, 8, 1, "8d6bb77393996a10db55c0a585f47f90a76874101b8afc5bf8b62df6c6acdf3f"),
+    (4, 4, "fixed:3", 10, 2, 8, 2, "9c3afdb630a02dea83bb6a5869b34d19c015127ccdafcb20e393caa792a4e377"),
+    (4, 4, "fixed:6", 10, 2, 8, 3, "ed42fe511eab012c84e6cef181e684bdb8d72ae47fe9542494767f24beb84ed6"),
+    (4, 4, "random:6", 10, 4, 8, 1, "c2330b010df30fdde06eee4ba88a4a7f7155751bb02d80cec192942c59c58298"),
+    (8, 8, "random:14", 40, 16, 16, 1, "25e499bf8d92e71bcca049a80c960b86c9021cb7a96989b1bd79234e49bd6933"),
+    (1, 6, "random:5", 6, 2, 8, 1, "0763b1040f37fc5d18c1f285ae72d77042b3e84c08f4ef1ecf74e9b3f6f6301f"),
+    (6, 1, "fixed:2", 6, 2, 8, 1, "55f4d88602da41c9d55f6cee68716c34ef550169c8426d851e8aff2c880ba056"),
+]
+
+
+@pytest.mark.parametrize("case", PINNED_SYNTHETIC, ids=lambda c: f"{c[0]}x{c[1]}-{c[2]}")
+def test_synthetic_circuits_match_pinned_digests(case):
+    width, height, cr, depth_k, rpl, qpc, seed, digest = case
+    spec = SynthSpec(target_depth=depth_k, requests_per_layer=rpl, cr_mode=CrMode.parse(cr), seed=seed)
+    text = serialize_circuit(gen_synthetic(spec, MeshTopology(width, height), qpc))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_cr_mode_parsing():

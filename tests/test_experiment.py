@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from qnocsim import cli, experiment
+from qnocsim import cli, engine, experiment
 from qnocsim.circuit import parse_circuit
 from qnocsim.experiment import (
     CSV_COLUMNS,
@@ -119,6 +119,18 @@ def test_run_experiment_writes_schema_and_is_idempotent(tmp_path):
 
 def test_golden_spec_reproduces_committed_artifacts(tmp_path):
     config = merge_config(load_config(os.path.join(DATA, "golden.cfg")))
+    csv_path, json_path = run_experiment(config, str(tmp_path), "golden")
+    assert open(csv_path, "rb").read() == open(os.path.join(DATA, "golden.csv"), "rb").read()
+    assert open(json_path, "rb").read() == open(os.path.join(DATA, "golden.json"), "rb").read()
+
+
+def test_certain_success_runs_seed_no_random_stream(tmp_path, monkeypatch):
+    def no_stream(*args):
+        raise AssertionError("a run at p_bsm = 1 seeded a random stream")
+
+    monkeypatch.setattr(engine, "request_stream", no_stream)
+    config = merge_config(load_config(os.path.join(DATA, "golden.cfg")))
+    assert config["timing.p_bsm"] == "1"
     csv_path, json_path = run_experiment(config, str(tmp_path), "golden")
     assert open(csv_path, "rb").read() == open(os.path.join(DATA, "golden.csv"), "rb").read()
     assert open(json_path, "rb").read() == open(os.path.join(DATA, "golden.json"), "rb").read()

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import xy_route_by_steps
 from qnocsim.topology import MeshTopology
 
 MESHES = [MeshTopology(1, 1), MeshTopology(2, 3), MeshTopology(4, 4), MeshTopology(5, 2), MeshTopology(8, 8)]
@@ -128,3 +129,32 @@ def test_bsm_link_rejects_non_adjacent_pair():
 def test_rejects_degenerate_dimensions():
     with pytest.raises(ValueError):
         MeshTopology(0, 4)
+
+
+@pytest.mark.parametrize("t", MESHES, ids=lambda t: f"{t.width}x{t.height}")
+def test_ring_matches_brute_force_filter(t):
+    for origin in range(t.num_cores):
+        for radius in range(t.diameter + 2):
+            expected = [c for c in range(t.num_cores) if t.hop_distance(origin, c) == radius]
+            assert t.ring(origin, radius) == expected
+
+
+def test_ring_rejects_out_of_range_origin():
+    t = MeshTopology(4, 4)
+    for origin in (-1, 16):
+        with pytest.raises(ValueError, match="outside"):
+            t.ring(origin, 1)
+
+
+@pytest.mark.parametrize("t", MESHES, ids=lambda t: f"{t.width}x{t.height}")
+def test_xy_route_matches_step_by_step_reference(t):
+    for src in range(t.num_cores):
+        for dst in range(t.num_cores):
+            assert t.xy_route(src, dst) == xy_route_by_steps(t, src, dst)
+
+
+def test_xy_route_rejects_out_of_range_endpoints():
+    t = MeshTopology(4, 4)
+    for src, dst in ((-1, 0), (0, 16), (16, 0)):
+        with pytest.raises(ValueError, match="outside"):
+            t.xy_route(src, dst)
