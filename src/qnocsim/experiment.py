@@ -18,6 +18,7 @@ generators; this module only arranges runs and formats rows.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -406,7 +407,8 @@ def paired_reductions(rows: list[dict], metric: str) -> list[float]:
 
 
 def _mean(values):
-    return sum(values) / len(values)
+    # fsum is exact on every Python version; sum() became compensated in 3.12.
+    return math.fsum(values) / len(values)
 
 
 def default_bundle() -> list[tuple[str, dict[str, str]]]:

@@ -174,6 +174,18 @@ def test_seed_sweep_keeps_identity_columns_fixed(tmp_path):
     assert {r["cr_mode"] for r in rows} == {"random:6"}
 
 
+def test_summary_means_are_exactly_rounded():
+    # A naive left-to-right sum of ten 0.1s is 0.9999999999999999.
+    rows = [
+        {"workload": "w", "strategy": "hh", "cr_mode": "-", "seed": seed, "comm_delay_sum": 0.1,
+         "comm_delay_critical": 0.1, "total_delay": 0.1, "expanded_depth": 1}
+        for seed in range(10)
+    ]
+    means = summarize(rows)["per_strategy"]["hh"]
+    assert means["comm_delay_sum_mean"] == 0.1
+    assert means["total_delay_mean"] == 0.1
+
+
 def test_summary_reductions_match_recompute_from_csv(tmp_path):
     config = merge_config(
         {
