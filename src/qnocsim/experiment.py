@@ -74,6 +74,17 @@ DEFAULTS = {
 }
 
 
+# Keys read only when present, on top of the ones DEFAULTS always supplies.
+KNOWN_KEYS = frozenset(DEFAULTS) | {
+    "sweep.requests",
+    "sweep.seeds",
+    "sweep.cr",
+    "synthetic.requests",
+    "synthetic.depth",
+    "timing.max_attempts",
+}
+
+
 class ConfigError(ValueError):
     """Bad experiment configuration, with file and line where known."""
 
@@ -100,10 +111,22 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def merge_config(*layers: dict[str, str]) -> dict[str, str]:
+    """DEFAULTS overridden by each layer in turn; an unknown key is an error."""
     merged = dict(DEFAULTS)
     for layer in layers:
+        for key in layer:
+            if key not in KNOWN_KEYS:
+                raise ConfigError(_unknown_key_message(key))
         merged.update(layer)
     return merged
+
+
+def _unknown_key_message(key: str) -> str:
+    import difflib  # only on this error path, so that start-up stays lean
+
+    close = difflib.get_close_matches(key, sorted(KNOWN_KEYS), n=1)
+    hint = f"; did you mean {close[0]!r}?" if close else ""
+    return f"unknown config key {key!r}{hint}"
 
 
 def _get_int(config, key):
@@ -130,18 +153,24 @@ def _get_bool(config, key):
 
 
 def _int_list(token: str, key: str) -> list[int]:
-    """Parse ``1,2,3`` or an inclusive range ``1..32``."""
+    """Parse ``1,2,3`` or an inclusive range ``1..32``; neither may be empty."""
     token = token.strip()
     if ".." in token:
         lo, _, hi = token.partition("..")
         try:
-            return list(range(int(lo), int(hi) + 1))
+            values = list(range(int(lo), int(hi) + 1))
         except ValueError:
             raise ConfigError(f"{key}: bad range {token!r}") from None
+        if not values:
+            raise ConfigError(f"{key}: empty range {token!r}")
+        return values
     try:
-        return [int(part) for part in token.split(",") if part.strip()]
+        values = [int(part) for part in token.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"{key}: bad integer list {token!r}") from None
+    if not values:
+        raise ConfigError(f"{key}: empty list {token!r}")
+    return values
 
 
 def timing_from_config(config: dict[str, str]) -> TimingConfig:

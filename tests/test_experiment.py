@@ -40,6 +40,16 @@ def test_parse_config_reports_file_and_line():
     assert "exp.cfg:2" in str(err.value)
 
 
+def test_merge_rejects_unknown_keys():
+    with pytest.raises(ConfigError, match=r"unknown config key 'qft.qubitz'; did you mean 'qft.qubits'\?"):
+        merge_config({"qft.qubitz": "4"})
+    with pytest.raises(ConfigError, match=r"^unknown config key 'zzz'$"):
+        merge_config({"workload": "qft"}, {"zzz": "1"})
+    # keys read only when present are known, as is kind
+    merge_config({key: "1" for key in ("sweep.requests", "sweep.seeds", "sweep.cr", "synthetic.requests",
+                                       "synthetic.depth", "timing.max_attempts", "kind")})
+
+
 def test_merge_layers_override_defaults():
     config = merge_config({"mesh.width": "8"}, {"mesh.width": "2", "sim.seed": "9"})
     assert config["mesh.width"] == "2"
@@ -53,6 +63,14 @@ def test_int_list_forms():
     assert sorted({p.seed for p in points}) == [2, 5]
     counts = sorted({len(p.circuit.gates) for p in points})
     assert counts == [1, 2, 3, 4]
+    for key, token, message in (
+        ("sweep.requests", "5..1", "sweep.requests: empty range '5..1'"),
+        ("sweep.seeds", "3..1", "sweep.seeds: empty range '3..1'"),
+        ("sweep.requests", ",", "sweep.requests: empty list ','"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            iter_points(merge_config({"workload": "synthetic", "sweep.requests": "1..4", key: token}))
+        assert str(err.value) == message
 
 
 def test_points_are_ordered_and_deterministic():
@@ -336,6 +354,16 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
     code = cli.main(["run", "--workload", "qft", "--set", "timing.t_epr=nan", "--out", str(tmp_path)])
     assert code == 1
     assert "t_epr must be finite" in capsys.readouterr().err
+    for key in ("timing.tepr", "timing.t_epr_"):
+        code = cli.main(["run", "--workload", "qft", "--set", f"{key}=99", "--out", str(tmp_path)])
+        assert code == 1
+        assert f"unknown config key '{key}'; did you mean 'timing.t_epr'?" in capsys.readouterr().err
+    code = cli.main(["run", "--workload", "qft", "--set", "timing.p_bsn=0.5", "--out", str(tmp_path)])
+    assert code == 1
+    assert "did you mean 'timing.p_bsm'?" in capsys.readouterr().err
+    code = cli.main(["compare", "--workload", "qft", "--set", "sweep.seeds=3..1", "--out", str(tmp_path)])
+    assert code == 1
+    assert "sweep.seeds: empty range '3..1'" in capsys.readouterr().err
 
 
 def test_cli_reports_attempt_exhaustion_and_keeps_the_csv_prefix(tmp_path, capsys):
