@@ -124,18 +124,20 @@ def _build_synthetic(spec, topology, qubits_per_core, rng):
     def cores_at(origin, radius, avoid):
         return [c for c in topology.ring(origin, radius) if c != avoid and free[c] > 0]
 
-    def draw_radius(origin, avoid):
+    def draw_partners(origin, avoid):
+        """Free cores at the drawn radius from origin; the caller picks one."""
         if spec.cr_mode.kind == "fixed":
-            if not cores_at(origin, spec.cr_mode.radius, avoid):
+            partners = cores_at(origin, spec.cr_mode.radius, avoid)
+            if not partners:
                 raise _BuildFailed(f"no free core at radius {spec.cr_mode.radius} from core {origin}")
-            return spec.cr_mode.radius
-        radius = rng.randint(1, spec.cr_mode.radius)
-        if cores_at(origin, radius, avoid):
-            return radius
+            return partners
+        partners = cores_at(origin, rng.randint(1, spec.cr_mode.radius), avoid)
+        if partners:
+            return partners
         feasible = [r for r in range(1, spec.cr_mode.radius + 1) if cores_at(origin, r, avoid)]
         if not feasible:
             raise _BuildFailed(f"no free core within radius {spec.cr_mode.radius} of core {origin}")
-        return rng.choice(feasible)
+        return cores_at(origin, rng.choice(feasible), avoid)
 
     ops = []
     chains: list[tuple[int, int, int]] = []  # per slot: (qubit, home core, core under two-way)
@@ -149,8 +151,7 @@ def _build_synthetic(spec, topology, qubits_per_core, rng):
             raise _BuildFailed("no source core with a reachable partner left")
         src_core = rng.choice(src_candidates)
         src_qubit = take(src_core)
-        radius = draw_radius(src_core, avoid=None)
-        dst_core = rng.choice(cores_at(src_core, radius, avoid=None))
+        dst_core = rng.choice(draw_partners(src_core, avoid=None))
         dst_qubit = take(dst_core)
         ops.append(("cx", (src_qubit, dst_qubit)))
         chains.append((dst_qubit, dst_core, plan_twt(topology, src_core, dst_core).exec_core))
@@ -158,8 +159,7 @@ def _build_synthetic(spec, topology, qubits_per_core, rng):
     for _layer in range(1, spec.target_depth):
         for slot in range(spec.requests_per_layer):
             chain_qubit, home_core, twt_core = chains[slot]
-            radius = draw_radius(home_core, avoid=twt_core)
-            dst_core = rng.choice(cores_at(home_core, radius, avoid=twt_core))
+            dst_core = rng.choice(draw_partners(home_core, avoid=twt_core))
             dst_qubit = take(dst_core)
             ops.append(("cx", (chain_qubit, dst_qubit)))
             chains[slot] = (dst_qubit, dst_core, plan_twt(topology, twt_core, dst_core).exec_core)
