@@ -243,6 +243,8 @@ def iter_points(config: dict[str, str]) -> list[RunPoint]:
             if "sweep.cr" in config
             else [config["synthetic.cr"]]
         )
+        if not cr_tokens:
+            raise ConfigError(f"sweep.cr: empty list {config['sweep.cr']!r}")
         if "sweep.requests" in config:
             request_counts = _int_list(config["sweep.requests"], "sweep.requests")
         else:

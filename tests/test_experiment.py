@@ -67,6 +67,7 @@ def test_int_list_forms():
         ("sweep.requests", "5..1", "sweep.requests: empty range '5..1'"),
         ("sweep.seeds", "3..1", "sweep.seeds: empty range '3..1'"),
         ("sweep.requests", ",", "sweep.requests: empty list ','"),
+        ("sweep.cr", ",", "sweep.cr: empty list ','"),
     ):
         with pytest.raises(ConfigError) as err:
             iter_points(merge_config({"workload": "synthetic", "sweep.requests": "1..4", key: token}))
