@@ -438,7 +438,8 @@ def paired_reductions(rows: list[dict], metric: str) -> list[float]:
 
 
 def _mean(values):
-    # fsum is exact on every Python version; sum() became compensated in 3.12.
+    # fsum is correctly rounded on every Python version; sum() is compensated
+    # only from 3.12 on, so the JSON bytes would depend on the interpreter.
     return math.fsum(values) / len(values)
 
 
