@@ -4,10 +4,10 @@ end-to-end communication delay, and expanded circuit depth."""
 
 from .benchgen import CrMode, GenerationError, SynthSpec, gen_cuccaro, gen_mcmt, gen_qft, gen_quantum_volume, gen_synthetic
 from .circuit import Circuit, Gate, ParseError, depth, layerize, parse_circuit, serialize_circuit
-from .engine import SimConfig, SimReport, StrategyComparison, audit_resources, compare, run
+from .engine import SimConfig, SimReport, audit_resources, run
 from .placement import CapacityError, PlacementMap
-from .protocol import ProtocolError, TeleportOutcome, TimingConfig, entanglement_attempts, teleport_hop
-from .strategy import CommPlan, plan, plan_hh, plan_twt, rounds_saved
+from .protocol import ProtocolError, TimingConfig, entanglement_attempts
+from .strategy import CommPlan, plan, plan_hh, plan_twt
 from .topology import MeshTopology
 
 __all__ = [
@@ -23,12 +23,9 @@ __all__ = [
     "ProtocolError",
     "SimConfig",
     "SimReport",
-    "StrategyComparison",
     "SynthSpec",
-    "TeleportOutcome",
     "TimingConfig",
     "audit_resources",
-    "compare",
     "depth",
     "entanglement_attempts",
     "gen_cuccaro",
@@ -41,8 +38,6 @@ __all__ = [
     "plan",
     "plan_hh",
     "plan_twt",
-    "rounds_saved",
     "run",
     "serialize_circuit",
-    "teleport_hop",
 ]

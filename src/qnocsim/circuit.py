@@ -95,9 +95,6 @@ class Circuit:
             object.__setattr__(self, "_index_cache", index)
         return index
 
-    def two_qubit_count(self) -> int:
-        return sum(1 for g in self.gates if g.is_two_qubit)
-
 
 def layerize(circuit: Circuit) -> list[list[int]]:
     """Greedy ASAP layering: lists of gate ids, no two gates in a layer

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right, insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 # depth stays bound here although run no longer calls it: perfbench/tracing.py
@@ -375,33 +375,3 @@ def audit_resources(report: SimReport, cfg: SimConfig) -> list[str]:
             if held > cfg.m_per_core:
                 violations.append(f"core {core}: {held} communication qubits held at t={t}")
     return violations
-
-
-@dataclass(frozen=True)
-class StrategyComparison:
-    hh: SimReport
-    twt: SimReport
-    comm_delay_sum_reduction: float
-    comm_delay_critical_reduction: float
-    expanded_depth_reduction: float
-
-
-def compare(circuit: Circuit, cfg: SimConfig) -> StrategyComparison:
-    """Run both strategies with identical seeds; reductions are (hh - twt)/hh."""
-    reports = {}
-    for strategy in STRATEGIES:
-        reports[strategy] = run(circuit, replace(cfg, strategy=strategy))
-    hh, twt = reports["hh"], reports["twt"]
-    return StrategyComparison(
-        hh=hh,
-        twt=twt,
-        comm_delay_sum_reduction=_reduction(hh.comm_delay_sum, twt.comm_delay_sum),
-        comm_delay_critical_reduction=_reduction(hh.comm_delay_critical, twt.comm_delay_critical),
-        expanded_depth_reduction=_reduction(hh.expanded_depth, twt.expanded_depth),
-    )
-
-
-def _reduction(base: float, improved: float) -> float:
-    if base == 0:
-        return 0.0
-    return (base - improved) / base

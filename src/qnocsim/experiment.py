@@ -101,6 +101,8 @@ def parse_config(text: str, source: str = "<config>") -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if not key or not value:
             raise ConfigError(f"{source}:{line_no}: empty key or value")
+        if key not in KNOWN_KEYS:
+            raise ConfigError(f"{source}:{line_no}: {_unknown_key_message(key)}")
         values[key] = value
     return values
 
@@ -272,6 +274,12 @@ def iter_points(config: dict[str, str]) -> list[RunPoint]:
         return points
 
     circuit, label = _named_workload(config, workload)
+    # Keys only the synthetic generator reads. synthetic.cr and
+    # synthetic.requests_per_layer are always set by DEFAULTS, so a value
+    # given for them cannot be told from the default and is not checked.
+    for key in ("sweep.requests", "sweep.cr", "synthetic.requests", "synthetic.depth"):
+        if key in config:
+            raise ConfigError(f"{key}: only the synthetic workload reads it, not {workload!r}")
     for seed in seeds:
         for strategy in strategies:
             points.append(

@@ -34,10 +34,6 @@ class PlacementMap:
             raise CapacityError(f"{num_qubits} qubits exceed {topology.num_cores} cores x {n_per_core}")
         return cls([q // n_per_core for q in range(num_qubits)], topology.num_cores, n_per_core)
 
-    @property
-    def num_qubits(self) -> int:
-        return len(self._qubit_core)
-
     def core_of(self, qubit: int) -> int:
         return self._qubit_core[qubit]
 
@@ -59,6 +55,3 @@ class PlacementMap:
         self._core_load[to] += 1
         self._qubit_core[qubit] = to
         return self._core_load[to] > self.capacity
-
-    def copy(self) -> "PlacementMap":
-        return PlacementMap(self._qubit_core, len(self._core_load), self.capacity)

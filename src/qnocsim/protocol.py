@@ -1,6 +1,6 @@
-"""Timed model of one teleportation hop between adjacent cores.
+"""Timing parameters and entanglement-attempt draws of a teleportation hop.
 
-A hop breaks down into four timed phases:
+A hop between adjacent cores breaks down into four timed phases:
 
   1. entanglement generation: photons from the communication qubits of both
      cores meet at the shared BSM node; each attempt costs t_epr and succeeds
@@ -11,6 +11,14 @@ A hop breaks down into four timed phases:
   3. transfer of the two classical correction bits to the neighbor over the
      classical NoC (t_classical);
   4. conditional correction at the destination (t_correct).
+
+This module holds the durations and draws the attempt counts;
+engine._drain_hops applies them. A hop granted at start finishes at
+
+  finish = max(start + attempts·t_epr, data arrival) + t_meas + t_classical + t_correct
+
+where data arrival is when the data qubit reaches the hop's source core
+(never later than start unless hops are pipelined).
 
 All durations are abstract time units. The defaults make entanglement
 generation the dominant cost and are overridable through configuration.
@@ -23,11 +31,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .topology import MeshTopology
-
 
 class ProtocolError(RuntimeError):
-    """Teleportation primitive misuse or attempt-cap exhaustion."""
+    """Entanglement not heralded within the configured attempt cap."""
 
 
 @dataclass(frozen=True)
@@ -50,18 +56,6 @@ class TimingConfig:
         if self.max_attempts is not None and self.max_attempts < 1:
             raise ValueError("max_attempts must be positive when set")
 
-    def hop_latency(self, attempts: int) -> float:
-        """Closed-form duration of one hop given its attempt count."""
-        return attempts * self.t_epr + self.t_meas + self.t_classical + self.t_correct
-
-
-@dataclass(frozen=True)
-class TeleportOutcome:
-    link: tuple[int, int]
-    attempts: int
-    start: float
-    finish: float
-
 
 def entanglement_attempts(p_bsm: float, rng: random.Random | None, max_attempts: int | None = None) -> int:
     """Bernoulli trials up to and including the first heralded success.
@@ -79,26 +73,6 @@ def entanglement_attempts(p_bsm: float, rng: random.Random | None, max_attempts:
         if max_attempts is not None and attempts > max_attempts:
             raise ProtocolError(f"entanglement not heralded within {max_attempts} attempts")
     return attempts
-
-
-def teleport_hop(
-    topology: MeshTopology,
-    src: int,
-    dst: int,
-    start: float,
-    cfg: TimingConfig,
-    rng: random.Random,
-) -> TeleportOutcome:
-    """One adjacent-core teleport; the data qubit is at dst from finish onward.
-
-    Multi-hop transfers are the planning layer's job; a non-adjacent pair
-    here is a protocol error.
-    """
-    if not topology.is_adjacent(src, dst):
-        raise ProtocolError(f"cores {src} and {dst} are not adjacent")
-    link = topology.bsm_link_between(src, dst)
-    attempts = entanglement_attempts(cfg.p_bsm, rng, cfg.max_attempts)
-    return TeleportOutcome(link=link, attempts=attempts, start=start, finish=start + cfg.hop_latency(attempts))
 
 
 def request_stream(seed: int, gate_id: int, chain: int = 0) -> random.Random:

@@ -68,11 +68,6 @@ def plan(strategy: str, topology: MeshTopology, src: int, dst: int) -> CommPlan:
     raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
 
 
-def rounds_saved(topology: MeshTopology, src: int, dst: int) -> tuple[int, int]:
-    """(hop-by-hop rounds, two-way rounds) for one request."""
-    return topology.hop_distance(src, dst), plan_twt(topology, src, dst).rounds
-
-
 def _check_distinct(src: int, dst: int):
     if src == dst:
         raise ValueError("operands share a core; no communication plan applies")

@@ -66,23 +66,6 @@ class MeshTopology:
         (ax, ay), (bx, by) = coords[a], coords[b]
         return abs(ax - bx) + abs(ay - by)
 
-    def is_adjacent(self, a: int, b: int) -> bool:
-        return self.hop_distance(a, b) == 1
-
-    def neighbors(self, core: int) -> tuple[int, ...]:
-        """Adjacent cores in north, south, west, east order (those that exist)."""
-        x, y = self.coord_of(core)
-        out = []
-        if y > 0:
-            out.append(core - self.width)
-        if y < self.height - 1:
-            out.append(core + self.width)
-        if x > 0:
-            out.append(core - 1)
-        if x < self.width - 1:
-            out.append(core + 1)
-        return tuple(out)
-
     def ring(self, origin: int, radius: int) -> list[int]:
         """Cores exactly radius hops from origin, in ascending id order.
 
@@ -126,12 +109,5 @@ class MeshTopology:
         return link
 
     def bsm_links(self) -> list[tuple[int, int]]:
-        """All BSM links, one per unordered adjacent core pair."""
-        links = []
-        for core in range(self.num_cores):
-            x, y = self.coord_of(core)
-            if x < self.width - 1:
-                links.append((core, core + 1))
-            if y < self.height - 1:
-                links.append((core, core + self.width))
-        return links
+        """All BSM links, one per unordered adjacent core pair, in ascending order."""
+        return sorted(set(self._links.values()))

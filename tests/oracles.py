@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from qnocsim.circuit import Circuit
+from qnocsim.protocol import TimingConfig
 from qnocsim.topology import MeshTopology
 
 
@@ -21,6 +22,18 @@ def dag_depth_oracle(circuit: Circuit) -> int:
         pred = [longest[j] for j in range(i) if operands & set(gates[j].qubits)]
         longest.append(1 + max(pred, default=0))
     return max(longest, default=0)
+
+
+def two_qubit_count(circuit: Circuit) -> int:
+    return sum(1 for g in circuit.gates if g.is_two_qubit)
+
+
+def phase_finish(timing: TimingConfig, start: float, attempts: int) -> float:
+    """Finish of a hop granted at start whose data qubit is already at its
+    source core: the entanglement attempts, then t_meas, t_classical and
+    t_correct, summed in that order. Summing all durations first and adding
+    them to start differs in the last bits on non-integer durations."""
+    return (start + attempts * timing.t_epr) + (timing.t_meas + timing.t_classical + timing.t_correct)
 
 
 def xy_route_by_steps(topology: MeshTopology, src: int, dst: int) -> list[int]:

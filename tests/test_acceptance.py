@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 pass lines alongside the pytest output.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -13,12 +14,16 @@ from qnocsim.benchgen import CrMode, SynthSpec, gen_synthetic
 from qnocsim.circuit import Circuit
 from qnocsim.engine import SimConfig, audit_resources, run
 from qnocsim.experiment import default_bundle, merge_config, run_experiment
-from qnocsim.protocol import TimingConfig, teleport_hop
-from qnocsim.strategy import plan_twt, rounds_saved
+from qnocsim.protocol import TimingConfig, entanglement_attempts, request_stream
+from qnocsim.strategy import plan_twt
 from qnocsim.topology import MeshTopology
 
 MESH = MeshTopology(4, 4)
 HOP = 14.0
+# sha256 of the default bundle's 16 artifacts, computed as perfbench does
+# (sorted by name, each fed as name + NUL + bytes). A documented model
+# change updates it in the same commit.
+BUNDLE_SHA256 = "727729c3aac67bb98f910b2eec1d3d497fc60a7c7e206eda68c6f2df1cce50bc"
 
 
 def _cfg(strategy, qpc, seed=0):
@@ -103,7 +108,7 @@ def test_criterion_3_round_ratios_and_reduction_ordering():
         for dst in range(16):
             if src == dst:
                 continue
-            hh_rounds, twt_rounds = rounds_saved(MESH, src, dst)
+            hh_rounds, twt_rounds = MESH.hop_distance(src, dst), plan_twt(MESH, src, dst).rounds
             assert _single_request_latency(src, dst, "hh").requests[0].latency == hh_rounds * HOP
             assert _single_request_latency(src, dst, "twt").requests[0].latency == twt_rounds * HOP
 
@@ -173,13 +178,11 @@ def test_criterion_6_real_benchmark_ordering(bundle):
 
 
 def test_criterion_7_geometric_attempt_statistics():
-    from qnocsim.protocol import request_stream
-
     started = time.perf_counter()
     cfg = TimingConfig(p_bsm=0.5)
     rng = request_stream(2024, 0, 0)
     hops = 100_000
-    total = sum(teleport_hop(MESH, 0, 1, 0.0, cfg, rng).attempts for _ in range(hops))
+    total = sum(entanglement_attempts(cfg.p_bsm, rng, cfg.max_attempts) for _ in range(hops))
     elapsed = time.perf_counter() - started
     mean = total / hops
     assert abs(mean - 2.0) <= 0.04, f"mean attempts {mean:.4f}"
@@ -202,3 +205,13 @@ def test_criterion_8_determinism_and_resource_audit(bundle, tmp_path):
     print(
         f"\nACCEPTANCE 8 byte-identical re-run and zero violations across {len(bundle['runs'])} audited runs: PASS"
     )
+
+
+def test_criterion_9_pinned_bundle_bytes(bundle):
+    digest = hashlib.sha256()
+    paths = sorted(bundle["dir"].iterdir(), key=lambda p: p.name)
+    for path in paths:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert len(paths) == 16
+    assert digest.hexdigest() == BUNDLE_SHA256
+    print(f"\nACCEPTANCE 9 pinned bundle bytes, sha256 {BUNDLE_SHA256[:8]}... over {len(paths)} files: PASS")

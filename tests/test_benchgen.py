@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from oracles import two_qubit_count
 from qnocsim.benchgen import (
     CrMode,
     GenerationError,
@@ -28,7 +29,7 @@ def _initial_core(qubit, qubits_per_core):
 def test_fixed_radius_six_puts_every_pair_on_opposite_corners():
     spec = SynthSpec(target_depth=8, requests_per_layer=1, cr_mode=CrMode("fixed", 6), seed=4)
     c = gen_synthetic(spec, MESH, 5)
-    assert c.two_qubit_count() == 8
+    assert two_qubit_count(c) == 8
     for gate in c.gates:
         a, b = (_initial_core(q, 5) for q in gate.qubits)
         assert MESH.hop_distance(a, b) == 6
@@ -67,7 +68,7 @@ def test_depth_contract_is_exact():
         spec = SynthSpec(target_depth=depth_k, requests_per_layer=rpl, cr_mode=CrMode("fixed", 1), seed=6)
         c = gen_synthetic(spec, MESH, 8)
         assert depth(c) == depth_k
-        assert c.two_qubit_count() == depth_k * rpl
+        assert two_qubit_count(c) == depth_k * rpl
         assert len(c.gates) == depth_k * rpl
 
 
@@ -140,12 +141,12 @@ def test_cr_mode_parsing():
 def test_qft_single_qubit():
     c = gen_qft(1)
     assert [g.name for g in c.gates] == ["h"]
-    assert c.two_qubit_count() == 0
+    assert two_qubit_count(c) == 0
 
 
 @pytest.mark.parametrize("n,expected", [(4, 6), (8, 28)])
 def test_qft_two_qubit_count(n, expected):
-    assert gen_qft(n).two_qubit_count() == expected
+    assert two_qubit_count(gen_qft(n)) == expected
 
 
 def test_qft_covers_every_unordered_pair_once():
@@ -172,7 +173,7 @@ def test_cuccaro_one_bit_structure():
 def test_cuccaro_counts_and_locality(n_bits):
     c = gen_cuccaro(n_bits)
     assert c.num_qubits == 2 * n_bits + 2
-    assert c.two_qubit_count() == 6 * n_bits + 1
+    assert two_qubit_count(c) == 6 * n_bits + 1
     assert len(c.gates) == 6 * n_bits + 1
     for gate in c.gates:
         a, b = gate.qubits
@@ -218,7 +219,7 @@ def test_mcmt_accumulation_and_uncomputation_are_mirror_images():
 
 def test_qv_single_layer_pairs_disjoint_qubits():
     c = gen_quantum_volume(4, 1, seed=0)
-    assert c.two_qubit_count() == 2
+    assert two_qubit_count(c) == 2
     used = [q for g in c.gates for q in g.qubits]
     assert len(used) == len(set(used))
 

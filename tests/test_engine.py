@@ -2,13 +2,13 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import dag_depth_oracle, random_circuit
+from oracles import dag_depth_oracle, phase_finish, random_circuit
 from qnocsim.benchgen import CrMode, SynthSpec, gen_qft, gen_synthetic
 from qnocsim.circuit import Circuit, depth
-from qnocsim.engine import SimConfig, audit_resources, compare, run
+from qnocsim.engine import SimConfig, audit_resources, run
+from qnocsim.experiment import RunPoint, paired_reductions, row_for
 from qnocsim.placement import CapacityError
 from qnocsim.protocol import TimingConfig
-from qnocsim.strategy import rounds_saved
 from qnocsim.topology import MeshTopology
 
 MESH = MeshTopology(4, 4)
@@ -58,7 +58,7 @@ def test_every_sequential_hop_matches_the_protocol_closed_form():
         report = run(c, cfg)
         by_chain = {}
         for hop in report.hops:
-            assert hop.finish == hop.start + cfg.timing.hop_latency(hop.attempts)
+            assert hop.finish == phase_finish(cfg.timing, hop.start, hop.attempts)
             key = (hop.gate_id, hop.chain)
             if key in by_chain:
                 assert hop.start >= by_chain[key]  # hops of one qubit are sequential
@@ -211,22 +211,31 @@ def test_pipelining_starves_without_spare_comm_qubits():
     assert audit_resources(report, scarce) == []
 
 
+def _paired_rows(circuit, seed=0, **cfg_kw):
+    """CSV rows of one hh and one twt run with the same seed, as a compare
+    experiment writes them."""
+    rows = []
+    for strategy in ("hh", "twt"):
+        cfg = cfg_for(strategy, seed=seed, **cfg_kw)
+        rows.append(row_for(RunPoint("w", "-", seed, strategy, circuit, cfg), run(circuit, cfg)))
+    return rows
+
+
 def test_compare_reports_reductions():
     c = Circuit.from_ops(16, [("cx", (0, 15))])
-    result = compare(c, cfg_for("hh"))
-    assert result.hh.strategy == "hh" and result.twt.strategy == "twt"
-    assert result.comm_delay_sum_reduction == pytest.approx(0.5)
-    assert result.comm_delay_critical_reduction == pytest.approx(0.5)
-    assert result.hh.seed == result.twt.seed
+    rows = _paired_rows(c)
+    assert [row["strategy"] for row in rows] == ["hh", "twt"]
+    assert paired_reductions(rows, "comm_delay_sum") == [0.5]
+    assert paired_reductions(rows, "comm_delay_critical") == [0.5]
 
 
 def test_compare_is_neutral_for_adjacent_requests():
     spec = SynthSpec(target_depth=6, requests_per_layer=1, cr_mode=CrMode("fixed", 1), seed=2)
     c = gen_synthetic(spec, MESH, 4)
-    result = compare(c, cfg_for("hh", n=4, seed=2))
-    assert result.comm_delay_sum_reduction == 0.0
-    assert result.comm_delay_critical_reduction == 0.0
-    assert result.hh.comm_delay_sum == result.twt.comm_delay_sum
+    rows = _paired_rows(c, seed=2, n=4)
+    assert paired_reductions(rows, "comm_delay_sum") == [0.0]
+    assert paired_reductions(rows, "comm_delay_critical") == [0.0]
+    assert rows[0]["comm_delay_sum"] == rows[1]["comm_delay_sum"]
 
 
 def test_empty_circuit_runs():
@@ -241,7 +250,7 @@ def test_request_records_carry_distance_and_rounds():
         report = run(c, cfg_for(strategy))
         record = report.requests[0]
         assert record.distance == 6
-        assert record.rounds == rounds_saved(MESH, 0, 15)[0 if strategy == "hh" else 1]
+        assert record.rounds == {"hh": 6, "twt": 3}[strategy]
         assert record.src_core == 0 and record.dst_core == 15
 
 

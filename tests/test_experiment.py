@@ -4,6 +4,8 @@ import os
 
 import pytest
 
+from oracles import two_qubit_count
+import qnocsim
 from qnocsim import cli, engine, experiment
 from qnocsim.circuit import parse_circuit
 from qnocsim.experiment import (
@@ -28,10 +30,10 @@ def test_parse_config_dotted_keys_and_comments():
 # experiment
 mesh.width = 4
 timing.t_epr = 10  # dominant step
-strategy=both
+sim.strategy=both
 """
     values = parse_config(text)
-    assert values == {"mesh.width": "4", "timing.t_epr": "10", "strategy": "both"}
+    assert values == {"mesh.width": "4", "timing.t_epr": "10", "sim.strategy": "both"}
 
 
 def test_parse_config_reports_file_and_line():
@@ -119,7 +121,7 @@ def test_circuit_file_workload(tmp_path):
     config = merge_config({"workload": str(path), "sim.n_per_core": "1"})
     points = iter_points(config)
     assert points[0].workload == "two_gate"
-    assert points[0].circuit.two_qubit_count() == 2
+    assert two_qubit_count(points[0].circuit) == 2
 
 
 def test_run_experiment_writes_schema_and_is_idempotent(tmp_path):
@@ -279,10 +281,10 @@ def test_cli_gen_roundtrip(tmp_path, capsys):
     assert cli.main(["gen", "qft", "--qubits", "5", "--out", str(out)]) == 0
     circuit = parse_circuit(out.read_text())
     assert circuit.num_qubits == 5
-    assert circuit.two_qubit_count() == 10
+    assert two_qubit_count(circuit) == 10
     assert cli.main(["gen", "synthetic", "--depth", "3", "--cr", "fixed:2", "--seed", "1"]) == 0
     printed = capsys.readouterr().out
-    assert parse_circuit(printed).two_qubit_count() == 3
+    assert two_qubit_count(parse_circuit(printed)) == 3
 
 
 def test_cli_compare_runs_config(tmp_path, capsys):
@@ -365,6 +367,24 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
     code = cli.main(["compare", "--workload", "qft", "--set", "sweep.seeds=3..1", "--out", str(tmp_path)])
     assert code == 1
     assert "sweep.seeds: empty range '3..1'" in capsys.readouterr().err
+    argv = ["compare", "--workload", "qft", "--set", "qft.qubits=8", "--out", str(tmp_path)]
+    for flags, key in (
+        (["--requests", "1..4", "--cr", "fixed:9", "--depth", "3"], "sweep.requests"),
+        (["--cr", "fixed:9"], "sweep.cr"),
+        (["--depth", "3"], "synthetic.depth"),
+        (["--set", "synthetic.requests=4"], "synthetic.requests"),
+    ):
+        code = cli.main([*argv, *flags])
+        assert code == 1
+        assert f"{key}: only the synthetic workload reads it, not 'qft'" in capsys.readouterr().err
+
+
+def test_cli_names_file_and_line_of_an_unknown_config_key(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("workload = qft\ntiming.tepr = 5\n")
+    code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 1
+    assert "bad.cfg:2: unknown config key 'timing.tepr'; did you mean 'timing.t_epr'?" in capsys.readouterr().err
 
 
 def test_cli_reports_attempt_exhaustion_and_keeps_the_csv_prefix(tmp_path, capsys):
@@ -423,3 +443,8 @@ def test_bundle_configs_are_runnable_shapes():
     ]
     for _name, config in default_bundle():
         assert config["out.format"] == "both"
+
+
+def test_every_exported_name_resolves():
+    for name in qnocsim.__all__:
+        assert getattr(qnocsim, name, None) is not None, name

@@ -2,13 +2,15 @@ import random
 
 import pytest
 
-from oracles import ScriptedRng
+from oracles import ScriptedRng, phase_finish
+from qnocsim import engine
+from qnocsim.circuit import Circuit
+from qnocsim.engine import SimConfig
 from qnocsim.protocol import (
     ProtocolError,
     TimingConfig,
     entanglement_attempts,
     request_stream,
-    teleport_hop,
 )
 from qnocsim.topology import MeshTopology
 
@@ -51,68 +53,73 @@ def test_non_finite_durations_rejected(name, value):
         TimingConfig(**{name: value})
 
 
+def _one_hop(timing: TimingConfig, src: int = 0, dst: int = 1, seed: int = 0, warmup: bool = False):
+    """The hop of one hh request between adjacent cores of MESH, simulated by
+    the engine with one qubit per core. With warmup a one-qubit gate on the
+    source runs first, so the hop starts at t_gate."""
+    ops = [("h", (src,))] if warmup else []
+    circuit = Circuit.from_ops(MESH.num_cores, ops + [("cx", (src, dst))])
+    report = engine.run(circuit, SimConfig(topology=MESH, n_per_core=1, timing=timing, seed=seed))
+    (hop,) = report.hops
+    return hop
+
+
 def test_hop_finish_is_the_sum_of_step_durations():
     cfg = TimingConfig(t_epr=10, t_meas=2, t_classical=1, t_correct=1, p_bsm=1.0)
-    outcome = teleport_hop(MESH, 0, 1, 0.0, cfg, random.Random(0))
-    assert outcome.finish == 14.0
-    assert outcome.attempts == 1
-    assert outcome.link == (0, 1)
+    hop = _one_hop(cfg)
+    assert hop.finish == 14.0
+    assert hop.attempts == 1
+    assert hop.link == (0, 1)
 
 
 def test_zero_durations_finish_at_start():
-    cfg = TimingConfig(t_epr=0, t_meas=0, t_classical=0, t_correct=0, t_gate=0, p_bsm=1.0)
-    outcome = teleport_hop(MESH, 5, 6, 3.5, cfg, random.Random(0))
-    assert outcome.finish == 3.5
+    cfg = TimingConfig(t_epr=0, t_meas=0, t_classical=0, t_correct=0, t_gate=3.5, p_bsm=1.0)
+    hop = _one_hop(cfg, 5, 6, warmup=True)
+    assert hop.start == 3.5
+    assert hop.finish == 3.5
 
 
-def test_three_attempts_cost_three_epr_rounds():
+def test_three_attempts_cost_three_epr_rounds(monkeypatch):
     cfg = TimingConfig(t_epr=10, t_meas=2, t_classical=1, t_correct=1, p_bsm=0.5)
-    rng = ScriptedRng([0.9, 0.9, 0.1])  # fail, fail, succeed
-    outcome = teleport_hop(MESH, 0, 1, 0.0, cfg, rng)
-    assert outcome.attempts == 3
-    assert outcome.finish == 34.0
+    monkeypatch.setattr(engine, "request_stream", lambda *args: ScriptedRng([0.9, 0.9, 0.1]))  # fail, fail, succeed
+    hop = _one_hop(cfg)
+    assert hop.attempts == 3
+    assert hop.finish == 34.0
 
 
-def test_non_adjacent_hop_is_a_protocol_error():
-    with pytest.raises(ProtocolError):
-        teleport_hop(MESH, 0, 15, 0.0, TimingConfig(), random.Random(0))
-    with pytest.raises(ProtocolError):
-        teleport_hop(MESH, 2, 2, 0.0, TimingConfig(), random.Random(0))
-
-
-def test_attempt_cap_exhaustion():
+def test_attempt_cap_exhaustion(monkeypatch):
     rng = ScriptedRng([0.9, 0.9, 0.9])
     with pytest.raises(ProtocolError):
         entanglement_attempts(0.5, rng, max_attempts=2)
     cfg = TimingConfig(p_bsm=0.5, max_attempts=2)
+    monkeypatch.setattr(engine, "request_stream", lambda *args: ScriptedRng([0.9, 0.9, 0.9]))
     with pytest.raises(ProtocolError):
-        teleport_hop(MESH, 0, 1, 0.0, cfg, ScriptedRng([0.9, 0.9, 0.9]))
+        _one_hop(cfg)
 
 
 def test_latency_additivity_over_random_configs():
     rng = random.Random(99)
     for _ in range(50):
+        start = rng.uniform(0, 100)
         cfg = TimingConfig(
             t_epr=rng.uniform(0, 20),
             t_meas=rng.uniform(0, 5),
             t_classical=rng.uniform(0, 5),
             t_correct=rng.uniform(0, 5),
+            t_gate=start,
             p_bsm=rng.uniform(0.2, 1.0),
         )
-        stream = random.Random(rng.randrange(2**32))
-        start = rng.uniform(0, 100)
-        outcome = teleport_hop(MESH, 1, 2, start, cfg, stream)
-        expected = outcome.attempts * cfg.t_epr + cfg.t_meas + cfg.t_classical + cfg.t_correct
-        assert outcome.finish == outcome.start + expected
-        assert outcome.finish == start + cfg.hop_latency(outcome.attempts)
+        hop = _one_hop(cfg, 1, 2, seed=rng.randrange(2**32), warmup=True)
+        assert hop.start == start
+        assert hop.finish == phase_finish(cfg, start, hop.attempts)
 
 
 def test_finish_is_monotone_in_every_duration():
     base = TimingConfig(t_epr=5, t_meas=2, t_classical=1, t_correct=1, p_bsm=1.0)
-    reference = teleport_hop(MESH, 0, 1, 0.0, base, random.Random(0)).finish
+    reference = _one_hop(base).finish
     for field in ("t_epr", "t_meas", "t_classical", "t_correct"):
         bumped = TimingConfig(**{**_as_dict(base), field: getattr(base, field) + 3})
-        assert teleport_hop(MESH, 0, 1, 0.0, bumped, random.Random(0)).finish >= reference
+        assert _one_hop(bumped).finish >= reference
 
 
 def _as_dict(cfg: TimingConfig) -> dict:

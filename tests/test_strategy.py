@@ -1,7 +1,7 @@
 import pytest
 
 from qnocsim.placement import PlacementMap
-from qnocsim.strategy import plan, plan_hh, plan_twt, rounds_saved
+from qnocsim.strategy import plan, plan_hh, plan_twt
 from qnocsim.topology import MeshTopology
 
 MESH = MeshTopology(4, 4)
@@ -54,12 +54,17 @@ def test_twt_adjacent_pair_meets_at_destination():
     assert p == plan_hh(MESH, 0, 1)
 
 
-def test_rounds_saved_examples():
-    assert rounds_saved(MESH, 0, 15) == (6, 3)
-    assert rounds_saved(MESH, 5, 6) == (1, 1)
+def _rounds(mesh, src, dst):
+    """(hop-by-hop rounds, two-way rounds) for one request."""
+    return mesh.hop_distance(src, dst), plan_twt(mesh, src, dst).rounds
+
+
+def test_round_counts_examples():
+    assert _rounds(MESH, 0, 15) == (6, 3)
+    assert _rounds(MESH, 5, 6) == (1, 1)
     # same-row distance 4 on a wider mesh splits evenly
     wide = MeshTopology(5, 1)
-    assert rounds_saved(wide, 0, 4) == (4, 2)
+    assert _rounds(wide, 0, 4) == (4, 2)
 
 
 def test_planners_reject_co_located_operands():
@@ -112,7 +117,7 @@ def test_twt_never_needs_more_rounds_than_hh(mesh):
         for dst in range(mesh.num_cores):
             if src == dst:
                 continue
-            hh_rounds, twt_rounds = rounds_saved(mesh, src, dst)
+            hh_rounds, twt_rounds = _rounds(mesh, src, dst)
             assert twt_rounds <= hh_rounds
             if hh_rounds == 1:
                 assert twt_rounds == 1

@@ -21,15 +21,19 @@ def test_coord_roundtrip(t):
 
 @pytest.mark.parametrize("t", MESHES, ids=lambda t: f"{t.width}x{t.height}")
 def test_neighbor_degrees(t):
+    degree = [0] * t.num_cores
+    for link in t.bsm_links():
+        for core in link:
+            degree[core] += 1
     for core in range(t.num_cores):
         x, y = t.coord_of(core)
         expected = 4 - (x == 0) - (x == t.width - 1) - (y == 0) - (y == t.height - 1)
-        assert len(t.neighbors(core)) == expected
+        assert degree[core] == expected
     if t.width >= 3 and t.height >= 3:
         corners = [t.core_at(0, 0), t.core_at(t.width - 1, t.height - 1)]
-        assert all(len(t.neighbors(c)) == 2 for c in corners)
-        assert len(t.neighbors(t.core_at(1, 0))) == 3
-        assert len(t.neighbors(t.core_at(1, 1))) == 4
+        assert all(degree[c] == 2 for c in corners)
+        assert degree[t.core_at(1, 0)] == 3
+        assert degree[t.core_at(1, 1)] == 4
 
 
 def test_bsm_link_count_matches_grid_formula():
@@ -37,6 +41,7 @@ def test_bsm_link_count_matches_grid_formula():
         links = t.bsm_links()
         assert len(links) == t.height * (t.width - 1) + t.width * (t.height - 1)
         assert len(set(links)) == len(links)
+        assert links == sorted(links)
         adjacent_pairs = {
             (a, b)
             for a in range(t.num_cores)
