@@ -21,11 +21,8 @@ from dataclasses import dataclass
 
 ONE_QUBIT_NAMES = ("h", "u")
 TWO_QUBIT_NAME = "cx"
-# Marker for one teleportation hop of a data qubit; inserted by the engine
-# when it builds the expanded circuit, never produced by the parser.
-TELEPORT_NAME = "tp"
 
-_ARITY = {"h": 1, "u": 1, "tp": 1, "cx": 2}
+_ARITY = {"h": 1, "u": 1, "cx": 2}
 
 
 class ParseError(ValueError):
@@ -47,10 +44,6 @@ class Gate:
     @property
     def is_two_qubit(self) -> bool:
         return self.name == TWO_QUBIT_NAME
-
-    @property
-    def is_teleport(self) -> bool:
-        return self.name == TELEPORT_NAME
 
 
 @dataclass(frozen=True)
@@ -170,14 +163,8 @@ def _parse_int(args: list[str], count: int, directive: str, line_no: int) -> lis
 
 
 def serialize_circuit(circuit: Circuit) -> str:
-    """Render a circuit in the text format; parse(serialize(c)) == c.
-
-    Teleport markers are an in-memory artifact of expanded circuits and have
-    no text form.
-    """
+    """Render a circuit in the text format; parse(serialize(c)) == c."""
     lines = [f"qubits {circuit.num_qubits}"]
     for gate in circuit.gates:
-        if gate.is_teleport:
-            raise ValueError("teleport markers cannot be serialized")
         lines.append(" ".join([gate.name, *map(str, gate.qubits)]))
     return "\n".join(lines) + "\n"

@@ -17,6 +17,10 @@ With pipeline_hops enabled, entanglement for later hops of a chain may be
 generated while earlier hops are still in flight (resources permitting); the
 data qubit itself still traverses hops in order. The default keeps hops
 strictly sequential.
+
+Expanded depth, with one teleport marker per hop just before the gate that
+requested it, is counted per qubit in program order: the order in which each
+qubit's hops and gates complete.
 """
 
 from __future__ import annotations
@@ -24,11 +28,10 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from functools import cached_property
 
 # depth stays bound here although run no longer calls it: perfbench/tracing.py
 # wraps engine.depth by name.
-from .circuit import Circuit, TELEPORT_NAME, depth, layerize  # noqa: F401
+from .circuit import Circuit, depth, layerize  # noqa: F401
 from .placement import PlacementMap
 from .protocol import TimingConfig, entanglement_attempts, request_stream
 from .strategy import STRATEGIES, plan
@@ -98,14 +101,7 @@ class SimReport:
     max_core_occupancy: int
     requests: tuple[RequestRecord, ...]
     hops: tuple[HopRecord, ...]
-    expanded_ops: tuple[tuple[str, tuple[int, ...]], ...]  # (name, qubits), ordered by simulated completion
     final_placement: tuple[int, ...]  # qubit -> core after the last layer
-
-    @cached_property
-    def expanded_circuit(self) -> Circuit:
-        """The circuit with one teleport marker per hop on each moved qubit,
-        ordered by simulated completion. Built and validated on first access."""
-        return Circuit.from_ops(len(self.final_placement), self.expanded_ops)
 
 
 class _Resources:
@@ -132,13 +128,12 @@ class _Resources:
 class _Chain:
     """One qubit's hop sequence within a request."""
 
-    __slots__ = ("gate_id", "index", "qubit", "marker", "hops", "position", "finish", "rng", "attempts")
+    __slots__ = ("gate_id", "index", "qubit", "hops", "position", "finish", "rng", "attempts")
 
     def __init__(self, gate_id, index, qubit, start_core, hops, start_time, rng):
         self.gate_id = gate_id
         self.index = index
         self.qubit = qubit
-        self.marker = (TELEPORT_NAME, (qubit,))  # expanded-circuit op shared by every hop
         self.hops = hops
         self.position = start_core
         self.finish = start_time  # data qubit available at current position
@@ -183,7 +178,7 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
     max_occupancy = placement.max_occupancy()
     request_records: list[RequestRecord] = []
     hop_records: list[HopRecord] = []
-    completions: list[tuple] = []  # (time, gate_id, rank, chain, hop, op)
+    level = [0] * circuit.num_qubits  # expanded-circuit depth reached by each qubit
 
     for layer in layers:
         layer_end = now
@@ -194,16 +189,20 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
             gate = gate_by_id(gate_id)
             if not gate.is_two_qubit:
                 layer_end = max(layer_end, local_finish)
-                completions.append((local_finish, gate_id, 1, 0, 0, (gate.name, gate.qubits)))
+                level[gate.qubits[0]] += 1
                 continue
             q_src, q_dst = gate.qubits
             src_core = core_of(q_src)
             dst_core = core_of(q_dst)
             if src_core == dst_core:
                 layer_end = max(layer_end, local_finish)
-                completions.append((local_finish, gate_id, 1, 0, 0, (gate.name, gate.qubits)))
+                level[q_src] = level[q_dst] = max(level[q_src], level[q_dst]) + 1
                 continue
             comm_plan = plan(cfg.strategy, topo, src_core, dst_core)
+            # One teleport marker per hop on each moving qubit, before the gate.
+            level[q_src] += len(comm_plan.src_hops)
+            level[q_dst] += len(comm_plan.dst_hops)
+            level[q_src] = level[q_dst] = max(level[q_src], level[q_dst]) + 1
             request = _Request(gate, src_core, dst_core, topo.hop_distance(src_core, dst_core), comm_plan.rounds)
             for chain_idx, (qubit, start_core, hops) in enumerate(
                 [(q_src, src_core, comm_plan.src_hops), (q_dst, dst_core, comm_plan.dst_hops)]
@@ -216,7 +215,7 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
                 chains.append(chain)
             requests.append(request)
 
-        relocations = _drain_hops(topo, timing, cfg, chains, now, hop_records, completions)
+        relocations = _drain_hops(topo, timing, cfg, chains, now, hop_records)
 
         relocations.sort()
         for _finish, _gate_id, _chain_idx, _hop_idx, qubit, dst in relocations:
@@ -244,16 +243,11 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
             request_records.append(record)
             comm_sum += record.latency
             layer_latency = max(layer_latency, record.latency)
-            gate_finish = arrival + t_gate
-            layer_end = max(layer_end, gate_finish)
-            completions.append((gate_finish, gate.gate_id, 1, 0, 0, (gate.name, gate.qubits)))
+            layer_end = max(layer_end, arrival + t_gate)
 
         comm_critical += layer_latency
         now = layer_end
 
-    # (time, gate_id, rank, chain, hop) is unique, so the ops are never compared.
-    completions.sort()
-    expanded_ops = tuple([completion[5] for completion in completions])
     return SimReport(
         strategy=cfg.strategy,
         seed=cfg.seed,
@@ -261,31 +255,17 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
         comm_delay_sum=comm_sum,
         comm_delay_critical=comm_critical,
         original_depth=len(layers),
-        expanded_depth=_ops_depth(circuit.num_qubits, expanded_ops),
+        expanded_depth=max(level),
         inter_core_requests=len(request_records),
         congestion_events=congestion_events,
         max_core_occupancy=max_occupancy,
         requests=tuple(request_records),
         hops=tuple(hop_records),
-        expanded_ops=expanded_ops,
         final_placement=tuple(placement.core_of(q) for q in range(circuit.num_qubits)),
     )
 
 
-def _ops_depth(num_qubits: int, ops) -> int:
-    """Depth of the circuit the ops form, by per-qubit level counters; equals
-    depth(Circuit.from_ops(num_qubits, ops)) without building the gates."""
-    level = [0] * num_qubits
-    for _name, qubits in ops:
-        if len(qubits) == 1:
-            level[qubits[0]] += 1
-        else:
-            a, b = qubits
-            level[a] = level[b] = (level[a] if level[a] > level[b] else level[b]) + 1
-    return max(level)
-
-
-def _drain_hops(topo, timing, cfg, chains, layer_start, hop_records, completions):
+def _drain_hops(topo, timing, cfg, chains, layer_start, hop_records):
     """Grant every hop of the layer's chains; returns relocation events."""
     resources = _Resources(topo.num_cores, cfg.m_per_core)
     link_busy_until = resources.link_busy_until
@@ -297,7 +277,7 @@ def _drain_hops(topo, timing, cfg, chains, layer_start, hop_records, completions
     tail = timing.t_meas + timing.t_classical + timing.t_correct
     pipelined = cfg.pipeline_hops
     heappush, heappop = heapq.heappush, heapq.heappop
-    add_hop, add_completion = hop_records.append, completions.append
+    add_hop = hop_records.append
 
     pending: list[tuple] = []
     for chain in chains:
@@ -332,7 +312,6 @@ def _drain_hops(topo, timing, cfg, chains, layer_start, hop_records, completions
         grant(link, src, dst, start, finish)
         qubit = chain.qubit
         add_hop(HopRecord(gate_id, chain_idx, hop_idx, qubit, link, src, dst, attempts, start, finish))
-        add_completion((finish, gate_id, 0, chain_idx, hop_idx, chain.marker))
         add_relocation((finish, gate_id, chain_idx, hop_idx, qubit, dst))
         chain.position = dst
         chain.finish = finish

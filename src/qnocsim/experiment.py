@@ -61,8 +61,6 @@ DEFAULTS = {
     "timing.t_correct": "1",
     "timing.t_gate": "2",
     "timing.p_bsm": "1",
-    "synthetic.cr": "fixed:3",
-    "synthetic.requests_per_layer": "1",
     "qft.qubits": "32",
     "cuccaro.bits": "15",
     "mcmt.controls": "12",
@@ -74,8 +72,15 @@ DEFAULTS = {
 }
 
 
+# Read only by the synthetic workload, which fills in these defaults; any
+# other workload rejects them when set.
+SYNTHETIC_DEFAULTS = {
+    "synthetic.cr": "fixed:3",
+    "synthetic.requests_per_layer": "1",
+}
+
 # Keys read only when present, on top of the ones DEFAULTS always supplies.
-KNOWN_KEYS = frozenset(DEFAULTS) | {
+KNOWN_KEYS = frozenset(DEFAULTS) | frozenset(SYNTHETIC_DEFAULTS) | {
     "sweep.requests",
     "sweep.seeds",
     "sweep.cr",
@@ -239,6 +244,7 @@ def iter_points(config: dict[str, str]) -> list[RunPoint]:
     points: list[RunPoint] = []
 
     if workload == "synthetic":
+        config = {**SYNTHETIC_DEFAULTS, **config}
         qpc = _get_int(config, "sim.n_per_core")
         cr_tokens = (
             [t.strip() for t in config["sweep.cr"].split(",") if t.strip()]
@@ -274,10 +280,7 @@ def iter_points(config: dict[str, str]) -> list[RunPoint]:
         return points
 
     circuit, label = _named_workload(config, workload)
-    # Keys only the synthetic generator reads. synthetic.cr and
-    # synthetic.requests_per_layer are always set by DEFAULTS, so a value
-    # given for them cannot be told from the default and is not checked.
-    for key in ("sweep.requests", "sweep.cr", "synthetic.requests", "synthetic.depth"):
+    for key in ("sweep.requests", "sweep.cr", "synthetic.requests", "synthetic.depth", *SYNTHETIC_DEFAULTS):
         if key in config:
             raise ConfigError(f"{key}: only the synthetic workload reads it, not {workload!r}")
     for seed in seeds:

@@ -46,6 +46,8 @@ class PlacementMap:
     def relocate(self, qubit: int, to: int) -> bool:
         """Move a qubit to a core; True means the destination is now over
         capacity (a congestion event). Moving to the current core is a no-op."""
+        if not (0 <= qubit < len(self._qubit_core)):
+            raise ValueError(f"qubit {qubit} outside 0..{len(self._qubit_core) - 1}")
         if not (0 <= to < len(self._core_load)):
             raise ValueError(f"core {to} outside 0..{len(self._core_load) - 1}")
         origin = self._qubit_core[qubit]

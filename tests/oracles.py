@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 from qnocsim.circuit import Circuit
@@ -24,6 +25,20 @@ def dag_depth_oracle(circuit: Circuit) -> int:
     return max(longest, default=0)
 
 
+def expanded_by_program_order(circuit: Circuit, hops) -> Circuit:
+    """The circuit with one ``u`` marker per hop on the hop's qubit, in hop
+    order (chain, then hop index), just before the gate that requested it."""
+    markers: dict[int, list] = {}
+    for hop in sorted(hops, key=lambda h: (h.gate_id, h.chain, h.hop_index)):
+        markers.setdefault(hop.gate_id, []).append(("u", (hop.qubit,)))
+    ops = []
+    for gate in circuit.gates:
+        ops.extend(markers.pop(gate.gate_id, []))
+        ops.append((gate.name, gate.qubits))
+    assert not markers, f"hops for unknown gates {sorted(markers)}"
+    return Circuit.from_ops(circuit.num_qubits, ops)
+
+
 def two_qubit_count(circuit: Circuit) -> int:
     return sum(1 for g in circuit.gates if g.is_two_qubit)
 
@@ -34,6 +49,41 @@ def phase_finish(timing: TimingConfig, start: float, attempts: int) -> float:
     t_correct, summed in that order. Summing all durations first and adding
     them to start differs in the last bits on non-integer durations."""
     return (start + attempts * timing.t_epr) + (timing.t_meas + timing.t_classical + timing.t_correct)
+
+
+def chain_latency_pmf(timing: TimingConfig, hops: int, tol: float = 1e-15) -> dict[float, float]:
+    """Exact latency distribution of one uncontended sequential chain of
+    hops: t_epr·N + hops·tail, where N ~ NegBin(hops, p_bsm) counts the
+    attempts up to the hops-th success, P(N = n) = C(n-1, hops-1)·p^hops·(1-p)^(n-hops).
+    Truncated at the first term below tol past the mean n = hops/p, after
+    which the terms only fall."""
+    if hops == 0:
+        return {0.0: 1.0}
+    p = timing.p_bsm
+    tail = timing.t_meas + timing.t_classical + timing.t_correct
+    pmf: dict[float, float] = {}
+    n = hops
+    while True:
+        prob = math.comb(n - 1, hops - 1) * p**hops * (1.0 - p) ** (n - hops)
+        pmf[n * timing.t_epr + hops * tail] = prob
+        if n * p >= hops and prob < tol:
+            return pmf
+        n += 1
+
+
+def max_pmf(a: dict[float, float], b: dict[float, float]) -> dict[float, float]:
+    """Distribution of max(X, Y) for independent X ~ a and Y ~ b."""
+    out: dict[float, float] = {}
+    for x, px in a.items():
+        for y, py in b.items():
+            v = x if x > y else y
+            out[v] = out.get(v, 0.0) + px * py
+    return out
+
+
+def pmf_mean_var(pmf: dict[float, float]) -> tuple[float, float]:
+    mean = math.fsum(v * p for v, p in pmf.items())
+    return mean, math.fsum((v - mean) ** 2 * p for v, p in pmf.items())
 
 
 def xy_route_by_steps(topology: MeshTopology, src: int, dst: int) -> list[int]:

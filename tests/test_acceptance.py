@@ -6,10 +6,11 @@ pass lines alongside the pytest output.
 
 import hashlib
 import time
+from pathlib import Path
 
 import pytest
 
-from oracles import dag_depth_oracle
+from oracles import dag_depth_oracle, expanded_by_program_order
 from qnocsim.benchgen import CrMode, SynthSpec, gen_synthetic
 from qnocsim.circuit import Circuit
 from qnocsim.engine import SimConfig, audit_resources, run
@@ -153,11 +154,11 @@ def test_criterion_5_depth_accounting_exhaustive():
             circuit = Circuit.from_ops(16, [("cx", (src, dst))])
             hh = run(circuit, _cfg("hh", qpc=1))
             assert hh.expanded_depth - hh.original_depth == MESH.hop_distance(src, dst)
-            assert hh.expanded_depth == dag_depth_oracle(hh.expanded_circuit)
+            assert hh.expanded_depth == dag_depth_oracle(expanded_by_program_order(circuit, hh.hops))
             twt = run(circuit, _cfg("twt", qpc=1))
             plan = plan_twt(MESH, src, dst)
             assert twt.expanded_depth - twt.original_depth == max(len(plan.src_hops), len(plan.dst_hops))
-            assert twt.expanded_depth == dag_depth_oracle(twt.expanded_circuit)
+            assert twt.expanded_depth == dag_depth_oracle(expanded_by_program_order(circuit, twt.hops))
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"exhaustive depth check took {elapsed:.1f} s"
     print(f"\nACCEPTANCE 5 depth accounting over 240 ordered pairs in {elapsed:.2f} s: PASS")
@@ -194,9 +195,9 @@ def test_criterion_8_determinism_and_resource_audit(bundle, tmp_path):
     name, config = default_bundle()[0]
     first, _ = run_experiment(config, str(tmp_path / "a"), name)
     second, _ = run_experiment(config, str(tmp_path / "b"), name)
-    assert open(first, "rb").read() == open(second, "rb").read()
+    assert Path(first).read_bytes() == Path(second).read_bytes()
     reference = (bundle["dir"] / f"{name}.csv").read_bytes()
-    assert open(first, "rb").read() == reference
+    assert Path(first).read_bytes() == reference
 
     violations = []
     for point, report in bundle["runs"]:

@@ -1,14 +1,24 @@
+import math
 from dataclasses import replace
 
 import pytest
 
-from oracles import dag_depth_oracle, phase_finish, random_circuit
+from oracles import (
+    chain_latency_pmf,
+    dag_depth_oracle,
+    expanded_by_program_order,
+    max_pmf,
+    phase_finish,
+    pmf_mean_var,
+    random_circuit,
+)
 from qnocsim.benchgen import CrMode, SynthSpec, gen_qft, gen_synthetic
 from qnocsim.circuit import Circuit, depth
 from qnocsim.engine import SimConfig, audit_resources, run
 from qnocsim.experiment import RunPoint, paired_reductions, row_for
 from qnocsim.placement import CapacityError
 from qnocsim.protocol import TimingConfig
+from qnocsim.strategy import plan_twt
 from qnocsim.topology import MeshTopology
 
 MESH = MeshTopology(4, 4)
@@ -95,34 +105,81 @@ def test_appending_layers_never_reduces_total_delay():
 
 @pytest.mark.parametrize("strategy", ["hh", "twt"])
 def test_expanded_depth_matches_independent_dag_oracle(strategy):
-    workloads = [
-        gen_qft(12),
-        random_circuit(16, 40, seed=3),
-        gen_synthetic(SynthSpec(5, 2, CrMode("random", 6), 7), MESH, 8),
+    synthetic = gen_synthetic(SynthSpec(5, 2, CrMode("random", 6), 7), MESH, 8)
+    workloads = [  # (circuit, qubits per core); one per core spreads the qubits over the whole mesh
+        (gen_qft(12), 1),
+        (random_circuit(16, 40, seed=3), 1),
+        (gen_qft(12), 8),
+        (random_circuit(16, 40, seed=3), 8),
+        (synthetic, 8),
     ]
-    base = cfg_for(strategy, n=8, seed=7)
-    configs = [
-        base,
-        # zero durations: completions of adjacent layers tie in time
-        cfg_for(strategy, n=8, seed=7, t_epr=0, t_meas=0, t_classical=0, t_correct=0, t_gate=0),
-        replace(base, pipeline_hops=True),
-        cfg_for(strategy, n=8, seed=7, p_bsm=0.5),
-    ]
-    for c in workloads:
+    for c, n in workloads:
+        base = cfg_for(strategy, n=n, seed=7)
+        configs = [
+            base,
+            # zero durations: every hop and gate finishes at t = 0
+            cfg_for(strategy, n=n, seed=7, t_epr=0, t_meas=0, t_classical=0, t_correct=0, t_gate=0),
+            replace(base, pipeline_hops=True),
+            cfg_for(strategy, n=n, seed=7, p_bsm=0.5),
+        ]
         for cfg in configs:
             report = run(c, cfg)
-            assert report.expanded_depth == dag_depth_oracle(report.expanded_circuit)
-            assert report.expanded_depth == depth(report.expanded_circuit)
+            expanded = expanded_by_program_order(c, report.hops)
+            assert report.expanded_depth == dag_depth_oracle(expanded)
+            assert report.expanded_depth == depth(expanded)
             assert report.expanded_depth >= report.original_depth
 
 
-def test_expanded_circuit_inserts_one_marker_per_hop():
+def test_twt_corner_request_records_six_hops_on_both_qubits():
     c = Circuit.from_ops(16, [("cx", (0, 15))])
     report = run(c, cfg_for("twt"))
-    markers = [g for g in report.expanded_circuit.gates if g.is_teleport]
-    assert len(markers) == len(report.hops) == 6
-    moved = {g.qubits[0] for g in markers}
-    assert moved == {0, 15}
+    assert len(report.hops) == 6
+    assert {hop.qubit for hop in report.hops} == {0, 15}
+    assert len(expanded_by_program_order(c, report.hops).gates) == len(c.gates) + 6
+
+
+def test_expanded_depth_does_not_depend_on_timing_resources_or_seed():
+    c = random_circuit(16, 60, seed=4)
+    base = cfg_for("twt", n=2, seed=0)
+    configs = [
+        base,
+        replace(base, m_per_core=1),
+        replace(base, seed=9, timing=TimingConfig(p_bsm=0.3)),
+        replace(base, pipeline_hops=True, timing=TimingConfig(p_bsm=0.6)),
+        replace(base, timing=TimingConfig(t_epr=0, t_meas=0, t_classical=0, t_correct=0, t_gate=0)),
+        replace(base, m_per_core=3, seed=2, timing=TimingConfig(t_epr=1.5, t_meas=7.25, t_gate=0.5, p_bsm=0.8)),
+    ]
+    depths = {run(c, cfg).expanded_depth for cfg in configs}
+    assert len(depths) == 1
+    assert depths.pop() > depth(c)
+
+
+# The engine's mean latency over seeds 0..SEEDS-1 for one uncontended request
+# must sit within Z standard errors of the exact mean, where the standard
+# error sqrt(var / SEEDS) comes from the exact variance. By the central limit
+# theorem a correct engine misses one such bound with probability about 6e-5,
+# so about 1e-3 over the 16 comparisons below.
+SEEDS = 1000
+Z = 4.0
+
+
+@pytest.mark.parametrize("p_bsm", [0.5, 0.25])
+@pytest.mark.parametrize("dst", [1, 3, 10, 15])  # distances 1, 3, 4 and 6 from core 0
+def test_uncontended_latency_mean_matches_exact_negative_binomial(p_bsm, dst):
+    c = Circuit.from_ops(16, [("cx", (0, dst))])
+    timing = TimingConfig(p_bsm=p_bsm)
+    twt_plan = plan_twt(MESH, 0, dst)
+    src_chain = chain_latency_pmf(timing, len(twt_plan.src_hops))
+    dst_chain = chain_latency_pmf(timing, len(twt_plan.dst_hops))
+    exact = {
+        "hh": chain_latency_pmf(timing, MESH.hop_distance(0, dst)),
+        "twt": max_pmf(src_chain, dst_chain),  # the two chains draw from independent streams
+    }
+    for strategy, pmf in exact.items():
+        mean, var = pmf_mean_var(pmf)
+        latencies = [run(c, cfg_for(strategy, seed=seed, p_bsm=p_bsm)).requests[0].latency for seed in range(SEEDS)]
+        bound = Z * math.sqrt(var / SEEDS)
+        assert abs(math.fsum(latencies) / SEEDS - mean) <= bound, (strategy, mean, bound)
 
 
 def test_resource_audit_is_clean_across_strategies_and_seeds():

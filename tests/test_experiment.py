@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +23,12 @@ from qnocsim.experiment import (
     summarize,
 )
 
-DATA = os.path.join(os.path.dirname(__file__), "data")
+DATA = Path(__file__).parent / "data"
+
+
+def _read_rows(path) -> list[dict[str, str]]:
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))
 
 
 def test_parse_config_dotted_keys_and_comments():
@@ -127,22 +133,21 @@ def test_circuit_file_workload(tmp_path):
 def test_run_experiment_writes_schema_and_is_idempotent(tmp_path):
     config = merge_config({"workload": "qft", "qft.qubits": "6", "sim.n_per_core": "1"})
     csv_path, json_path = run_experiment(config, str(tmp_path), "exp")
-    with open(csv_path) as handle:
-        rows = list(csv.DictReader(handle))
+    rows = _read_rows(csv_path)
     assert list(rows[0].keys()) == CSV_COLUMNS
     assert {r["strategy"] for r in rows} == {"hh", "twt"}
-    first_bytes = open(csv_path, "rb").read()
+    first_bytes = Path(csv_path).read_bytes()
     run_experiment(config, str(tmp_path), "exp")
-    assert open(csv_path, "rb").read() == first_bytes
-    summary = json.load(open(json_path))
+    assert Path(csv_path).read_bytes() == first_bytes
+    summary = json.loads(Path(json_path).read_text())
     assert summary["rows"] == len(rows)
 
 
 def test_golden_spec_reproduces_committed_artifacts(tmp_path):
     config = merge_config(load_config(os.path.join(DATA, "golden.cfg")))
     csv_path, json_path = run_experiment(config, str(tmp_path), "golden")
-    assert open(csv_path, "rb").read() == open(os.path.join(DATA, "golden.csv"), "rb").read()
-    assert open(json_path, "rb").read() == open(os.path.join(DATA, "golden.json"), "rb").read()
+    assert Path(csv_path).read_bytes() == (DATA / "golden.csv").read_bytes()
+    assert Path(json_path).read_bytes() == (DATA / "golden.json").read_bytes()
 
 
 def test_certain_success_runs_seed_no_random_stream(tmp_path, monkeypatch):
@@ -153,8 +158,8 @@ def test_certain_success_runs_seed_no_random_stream(tmp_path, monkeypatch):
     config = merge_config(load_config(os.path.join(DATA, "golden.cfg")))
     assert config["timing.p_bsm"] == "1"
     csv_path, json_path = run_experiment(config, str(tmp_path), "golden")
-    assert open(csv_path, "rb").read() == open(os.path.join(DATA, "golden.csv"), "rb").read()
-    assert open(json_path, "rb").read() == open(os.path.join(DATA, "golden.json"), "rb").read()
+    assert Path(csv_path).read_bytes() == (DATA / "golden.csv").read_bytes()
+    assert Path(json_path).read_bytes() == (DATA / "golden.json").read_bytes()
 
 
 def test_adjacent_radius_sweep_rows_pair_equal(tmp_path):
@@ -168,7 +173,7 @@ def test_adjacent_radius_sweep_rows_pair_equal(tmp_path):
         }
     )
     csv_path, _ = run_experiment(config, str(tmp_path), "adjacent")
-    rows = list(csv.DictReader(open(csv_path)))
+    rows = _read_rows(csv_path)
     by_key = {}
     for row in rows:
         by_key.setdefault((row["workload"], row["num_requests"], row["seed"]), []).append(row)
@@ -189,7 +194,7 @@ def test_seed_sweep_keeps_identity_columns_fixed(tmp_path):
         }
     )
     csv_path, _ = run_experiment(config, str(tmp_path), "seeds")
-    rows = list(csv.DictReader(open(csv_path)))
+    rows = _read_rows(csv_path)
     assert sorted({r["seed"] for r in rows}) == ["1", "2", "3", "4", "5"]
     assert {r["workload"] for r in rows} == {"synthetic_d6_rpl1"}
     assert {r["cr_mode"] for r in rows} == {"random:6"}
@@ -218,8 +223,8 @@ def test_summary_reductions_match_recompute_from_csv(tmp_path):
         }
     )
     csv_path, json_path = run_experiment(config, str(tmp_path), "xcheck")
-    summary = json.load(open(json_path))
-    raw = list(csv.DictReader(open(csv_path)))
+    summary = json.loads(Path(json_path).read_text())
+    raw = _read_rows(csv_path)
     rows = [
         {
             **row,
@@ -244,7 +249,7 @@ def test_plot_data_files(tmp_path):
     bench_csv, _ = run_experiment(bundle["bench_qft"], str(tmp_path), "mix_bench")
     # merge both CSVs into one results file
     merged = tmp_path / "merged.csv"
-    rows = list(csv.DictReader(open(tmp_path / "mix.csv"))) + list(csv.DictReader(open(bench_csv)))
+    rows = _read_rows(tmp_path / "mix.csv") + _read_rows(bench_csv)
     with open(merged, "w") as handle:
         handle.write(",".join(CSV_COLUMNS) + "\n")
         for row in rows:
@@ -255,14 +260,14 @@ def test_plot_data_files(tmp_path):
         "benchmark_delay.csv",
         "benchmark_depth.csv",
     ]
-    fig6 = list(csv.DictReader(open(written[0])))
+    fig6 = _read_rows(written[0])
     series: dict[str, list[int]] = {}
     for row in fig6:
         series.setdefault(row["workload"] + row["series"], []).append(int(row["num_requests"]))
     assert series
     for xs in series.values():
         assert xs == sorted(xs) and len(set(xs)) == len(xs)
-    bars = list(csv.DictReader(open(written[2])))
+    bars = _read_rows(written[2])
     per_bench: dict[str, list[str]] = {}
     for row in bars:
         per_bench.setdefault(row["benchmark"], []).append(row["bar"])
@@ -300,7 +305,7 @@ def test_cli_compare_runs_config(tmp_path, capsys):
         ]
     )
     assert code == 0
-    assert (tmp_path / "cli_golden.csv").read_bytes() == open(os.path.join(DATA, "golden.csv"), "rb").read()
+    assert (tmp_path / "cli_golden.csv").read_bytes() == (DATA / "golden.csv").read_bytes()
 
 
 def test_cli_flags_override_config(tmp_path):
@@ -318,7 +323,7 @@ def test_cli_flags_override_config(tmp_path):
         ]
     )
     assert code == 0
-    rows = list(csv.DictReader(open(tmp_path / "single.csv")))
+    rows = _read_rows(tmp_path / "single.csv")
     assert len(rows) == 1
     assert rows[0]["strategy"] == "hh"
     assert rows[0]["seed"] == "2"
@@ -338,7 +343,7 @@ def test_cli_run_defaults_to_a_single_strategy(tmp_path):
         ]
     )
     assert code == 0
-    rows = list(csv.DictReader(open(tmp_path / "one.csv")))
+    rows = _read_rows(tmp_path / "one.csv")
     assert [r["strategy"] for r in rows] == ["hh"]
 
 
@@ -373,10 +378,18 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
         (["--cr", "fixed:9"], "sweep.cr"),
         (["--depth", "3"], "synthetic.depth"),
         (["--set", "synthetic.requests=4"], "synthetic.requests"),
+        (["--set", "synthetic.cr=random:2"], "synthetic.cr"),
+        (["--set", "synthetic.requests_per_layer=7"], "synthetic.requests_per_layer"),
     ):
         code = cli.main([*argv, *flags])
         assert code == 1
         assert f"{key}: only the synthetic workload reads it, not 'qft'" in capsys.readouterr().err
+    code = cli.main(
+        ["compare", "--workload", "qft", "--set", "qft.qubits=4", "--set", "synthetic.cr=fixed:99",
+         "--set", "synthetic.requests_per_layer=7", "--out", str(tmp_path)]
+    )
+    assert code == 1
+    assert "synthetic.cr: only the synthetic workload reads it, not 'qft'" in capsys.readouterr().err
 
 
 def test_cli_names_file_and_line_of_an_unknown_config_key(tmp_path, capsys):
@@ -424,7 +437,7 @@ def test_partial_rows_are_flushed_before_a_failing_point_exits(tmp_path):
     )
     with pytest.raises(ProtocolError):
         run_experiment(config, str(tmp_path), "partial")
-    rows = list(csv.DictReader(open(tmp_path / "partial.csv")))
+    rows = _read_rows(tmp_path / "partial.csv")
     assert len(rows) == 1
     assert rows[0]["seed"] == str(good)
 

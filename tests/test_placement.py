@@ -57,6 +57,15 @@ def test_invalid_destination_core():
         p.relocate(0, 16)
 
 
+@pytest.mark.parametrize("qubit", [-1, 2])
+def test_invalid_qubit_is_rejected_and_moves_nothing(qubit):
+    p = PlacementMap([0, 1], 2, 1)
+    with pytest.raises(ValueError, match=f"qubit {qubit} outside 0..1"):
+        p.relocate(qubit, 0)
+    assert [p.core_of(0), p.core_of(1)] == [0, 1]
+    assert [p.occupancy(0), p.occupancy(1)] == [1, 1]
+
+
 def test_occupancy_is_conserved_under_random_relocations():
     import random
 
