@@ -54,8 +54,9 @@ class Circuit:
     def __post_init__(self):
         if self.num_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
-        last_id = -1
-        for gate in self.gates:
+        for position, gate in enumerate(self.gates):
+            if gate.gate_id != position:
+                raise ValueError(f"gate at position {position} has id {gate.gate_id}; a gate's id is its position")
             if gate.name not in _ARITY:
                 raise ValueError(f"unknown gate name {gate.name!r}")
             if len(gate.qubits) != _ARITY[gate.name]:
@@ -65,9 +66,6 @@ class Circuit:
             for q in gate.qubits:
                 if not (0 <= q < self.num_qubits):
                     raise ValueError(f"gate {gate.gate_id} operand {q} outside 0..{self.num_qubits - 1}")
-            if gate.gate_id <= last_id:
-                raise ValueError(f"gate ids must increase, got {gate.gate_id} after {last_id}")
-            last_id = gate.gate_id
 
     @classmethod
     def from_ops(cls, num_qubits: int, ops) -> "Circuit":
@@ -76,17 +74,9 @@ class Circuit:
         return cls(num_qubits, gates)
 
     def gate_by_id(self, gate_id: int) -> Gate:
-        gate = self._id_index().get(gate_id)
-        if gate is None:
+        if not 0 <= gate_id < len(self.gates):
             raise KeyError(gate_id)
-        return gate
-
-    def _id_index(self) -> dict[int, Gate]:
-        index = getattr(self, "_index_cache", None)
-        if index is None:
-            index = {g.gate_id: g for g in self.gates}
-            object.__setattr__(self, "_index_cache", index)
-        return index
+        return self.gates[gate_id]
 
 
 def layerize(circuit: Circuit) -> list[list[int]]:

@@ -279,13 +279,11 @@ def _drain_hops(topo, timing, cfg, chains, layer_start, hop_records):
     heappush, heappop = heapq.heappush, heapq.heappop
     add_hop = hop_records.append
 
-    pending: list[tuple] = []
-    for chain in chains:
-        if pipelined:
-            for hop_idx in range(len(chain.hops)):
-                heappush(pending, (layer_start, chain.gate_id, chain.index, hop_idx, chain))
-        else:
-            heappush(pending, (layer_start, chain.gate_id, chain.index, 0, chain))
+    # One entry per chain. A pipelined chain's next hop is ready at the layer
+    # start, so it pops before every other chain's pending entry, the order
+    # that queueing all its hops up front would give.
+    pending = [(layer_start, chain.gate_id, chain.index, 0, chain) for chain in chains]
+    heapq.heapify(pending)
 
     relocations = []
     add_relocation = relocations.append
@@ -316,8 +314,8 @@ def _drain_hops(topo, timing, cfg, chains, layer_start, hop_records):
         chain.position = dst
         chain.finish = finish
         chain.attempts += attempts
-        if not pipelined and hop_idx + 1 < len(chain.hops):
-            heappush(pending, (finish, gate_id, chain_idx, hop_idx + 1, chain))
+        if hop_idx + 1 < len(chain.hops):
+            heappush(pending, (layer_start if pipelined else finish, gate_id, chain_idx, hop_idx + 1, chain))
     return relocations
 
 

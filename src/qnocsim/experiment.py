@@ -7,10 +7,15 @@ Configuration is a flat key-value text format with dotted keys::
     mesh.width = 4
     timing.t_epr = 10
     sim.strategy = both
-    sweep.requests = 1..8
+    sweep.cr = fixed:1,random:6
+    sweep.requests = 5,10
+    synthetic.depth = 5
     sweep.seeds = 1,2,3
 
-``#`` starts a comment. Command-line flags override file values. Every
+``#`` starts a comment. Command-line flags override file values. The
+synthetic workload has one key per sweep axis: ``sweep.cr`` (default
+``fixed:3``), ``sweep.requests`` (required) and ``synthetic.depth`` (without
+it, one request per layer); every other workload rejects all three. Every
 number written to an artifact comes straight out of the engine or the
 generators; this module only arranges runs and formats rows.
 """
@@ -72,22 +77,11 @@ DEFAULTS = {
 }
 
 
-# Read only by the synthetic workload, which fills in these defaults; any
-# other workload rejects them when set.
-SYNTHETIC_DEFAULTS = {
-    "synthetic.cr": "fixed:3",
-    "synthetic.requests_per_layer": "1",
-}
+# Read only by the synthetic workload; any other workload rejects them.
+SYNTHETIC_KEYS = ("sweep.requests", "sweep.cr", "synthetic.depth")
 
 # Keys read only when present, on top of the ones DEFAULTS always supplies.
-KNOWN_KEYS = frozenset(DEFAULTS) | frozenset(SYNTHETIC_DEFAULTS) | {
-    "sweep.requests",
-    "sweep.seeds",
-    "sweep.cr",
-    "synthetic.requests",
-    "synthetic.depth",
-    "timing.max_attempts",
-}
+KNOWN_KEYS = frozenset(DEFAULTS) | frozenset(SYNTHETIC_KEYS) | {"sweep.seeds", "timing.max_attempts"}
 
 
 class ConfigError(ValueError):
@@ -241,74 +235,47 @@ def iter_points(config: dict[str, str]) -> list[RunPoint]:
     seeds = _seeds(config)
     # One mesh for every point: each instance carries its own lookup tables.
     topology = MeshTopology(_get_int(config, "mesh.width"), _get_int(config, "mesh.height"))
-    points: list[RunPoint] = []
-
     if workload == "synthetic":
-        config = {**SYNTHETIC_DEFAULTS, **config}
-        qpc = _get_int(config, "sim.n_per_core")
-        cr_tokens = (
-            [t.strip() for t in config["sweep.cr"].split(",") if t.strip()]
-            if "sweep.cr" in config
-            else [config["synthetic.cr"]]
-        )
-        if not cr_tokens:
-            raise ConfigError(f"sweep.cr: empty list {config['sweep.cr']!r}")
-        if "sweep.requests" in config:
-            request_counts = _int_list(config["sweep.requests"], "sweep.requests")
-        else:
-            request_counts = [_get_int(config, "synthetic.requests")] if "synthetic.requests" in config else []
-        if not request_counts:
-            raise ConfigError("synthetic workload needs sweep.requests or synthetic.requests")
-        for token in cr_tokens:
-            cr_mode = CrMode.parse(token)
-            for count in request_counts:
-                depth_k, rpl = _shape_for(config, count)
-                for seed in seeds:
-                    spec = SynthSpec(target_depth=depth_k, requests_per_layer=rpl, cr_mode=cr_mode, seed=seed)
-                    circuit = gen_synthetic(spec, topology, qpc)
-                    for strategy in strategies:
-                        points.append(
-                            RunPoint(
-                                workload=f"synthetic_d{depth_k}_rpl{rpl}",
-                                cr_mode=str(cr_mode),
-                                seed=seed,
-                                strategy=strategy,
-                                circuit=circuit,
-                                cfg=sim_config_from(config, topology, strategy, seed),
-                            )
-                        )
-        return points
-
-    circuit, label = _named_workload(config, workload)
-    for key in ("sweep.requests", "sweep.cr", "synthetic.requests", "synthetic.depth", *SYNTHETIC_DEFAULTS):
-        if key in config:
-            raise ConfigError(f"{key}: only the synthetic workload reads it, not {workload!r}")
-    for seed in seeds:
-        for strategy in strategies:
-            points.append(
-                RunPoint(
-                    workload=label,
-                    cr_mode="-",
-                    seed=seed,
-                    strategy=strategy,
-                    circuit=circuit,
-                    cfg=sim_config_from(config, topology, strategy, seed),
-                )
-            )
-    return points
+        runs = _synthetic_runs(config, topology, seeds)
+    else:
+        circuit, label = _named_workload(config, workload)
+        for key in SYNTHETIC_KEYS:
+            if key in config:
+                raise ConfigError(f"{key}: only the synthetic workload reads it, not {workload!r}")
+        runs = [(label, "-", seed, circuit) for seed in seeds]
+    return [
+        RunPoint(label, cr_mode, seed, strategy, circuit, sim_config_from(config, topology, strategy, seed))
+        for label, cr_mode, seed, circuit in runs
+        for strategy in strategies
+    ]
 
 
-def _shape_for(config, request_count: int) -> tuple[int, int]:
-    """(target_depth, requests_per_layer) realizing a total request count."""
-    if "synthetic.depth" in config:
-        depth_k = _get_int(config, "synthetic.depth")
-        if request_count % depth_k:
-            raise ConfigError(f"request count {request_count} not a multiple of synthetic.depth {depth_k}")
-        return depth_k, request_count // depth_k
-    rpl = _get_int(config, "synthetic.requests_per_layer")
-    if request_count % rpl:
-        raise ConfigError(f"request count {request_count} not a multiple of requests_per_layer {rpl}")
-    return request_count // rpl, rpl
+def _synthetic_runs(config, topology: MeshTopology, seeds: list[int]):
+    """Yield (label, cr_mode, seed, circuit) over sweep.cr x sweep.requests x
+    seeds. A request count fills synthetic.depth layers evenly, or without a
+    depth one request per layer."""
+    if "sweep.requests" not in config:
+        raise ConfigError("synthetic workload needs sweep.requests")
+    counts = _int_list(config["sweep.requests"], "sweep.requests")
+    cr_token = config.get("sweep.cr", "fixed:3")
+    cr_modes = [CrMode.parse(t.strip()) for t in cr_token.split(",") if t.strip()]
+    if not cr_modes:
+        raise ConfigError(f"sweep.cr: empty list {cr_token!r}")
+    depth_k = _get_int(config, "synthetic.depth") if "synthetic.depth" in config else None
+    if depth_k is not None and depth_k < 1:
+        raise ConfigError(f"synthetic.depth: expected a positive integer, got {depth_k}")
+    qpc = _get_int(config, "sim.n_per_core")
+    for cr_mode in cr_modes:
+        for count in counts:
+            if depth_k is None:
+                layers, rpl = count, 1
+            elif count % depth_k:
+                raise ConfigError(f"request count {count} not a multiple of synthetic.depth {depth_k}")
+            else:
+                layers, rpl = depth_k, count // depth_k
+            for seed in seeds:
+                spec = SynthSpec(target_depth=layers, requests_per_layer=rpl, cr_mode=cr_mode, seed=seed)
+                yield f"synthetic_d{layers}_rpl{rpl}", str(cr_mode), seed, gen_synthetic(spec, topology, qpc)
 
 
 def _named_workload(config, workload: str) -> tuple[Circuit, str]:

@@ -21,7 +21,9 @@ class PlacementMap:
         self.capacity = capacity
         self._qubit_core = list(qubit_core)
         self._core_load = [0] * num_cores
-        for core in self._qubit_core:
+        for qubit, core in enumerate(self._qubit_core):
+            if not (0 <= core < num_cores):
+                raise ValueError(f"qubit {qubit} placed on core {core}, outside 0..{num_cores - 1}")
             self._core_load[core] += 1
 
     @classmethod

@@ -66,6 +66,10 @@ def test_parse_minimal_document():
     c = parse_circuit("qubits 2\ncx 0 1\n")
     assert c.num_qubits == 2
     assert c.gates == (Gate(0, "cx", (0, 1)),)
+    assert c.gate_by_id(0) is c.gates[0]
+    for gate_id in (-1, 1):  # ids are positions 0..n-1, never counted from the end
+        with pytest.raises(KeyError):
+            c.gate_by_id(gate_id)
 
 
 def test_parse_comments_and_blank_lines():
@@ -121,5 +125,7 @@ def test_circuit_validation():
         Circuit.from_ops(2, [("tp", (0,))])  # no gate name is reserved for teleport markers
     with pytest.raises(ValueError):
         Circuit(2, (Gate(1, "h", (0,)), Gate(0, "h", (1,))))
+    with pytest.raises(ValueError, match="gate at position 1 has id 2"):
+        Circuit(2, (Gate(0, "h", (0,)), Gate(2, "h", (1,))))  # a gate's id is its position
     with pytest.raises(ValueError):
         Circuit(0, ())

@@ -219,6 +219,21 @@ def test_contended_comm_qubits_grant_fifo_by_gate_id():
     assert all(r.latency == 2 * HOP for r in relaxed.requests)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="a reservation that has not started yet blocks a communication qubit: "
+    "core 1's second qubit is idle on [0, 14), yet gate 2's hop waits until 14",
+)
+def test_hop_never_waits_on_an_idle_communication_qubit():
+    # gate 0 holds core 1's first qubit on [0, 14); gate 1 waits for link (0, 1)
+    # and holds core 1's second qubit only on [14, 28)
+    c = Circuit.from_ops(7, [("cx", (0, 3)), ("cx", (1, 4)), ("cx", (5, 6))])
+    report = run(c, cfg_for("hh", n=3, m=2, mesh=MeshTopology(4, 1)))
+    (hop,) = [h for h in report.hops if h.gate_id == 2]
+    assert hop.link == (1, 2)
+    assert hop.start == 0.0
+
+
 def test_congestion_counts_multi_occupancy():
     c = Circuit.from_ops(16, [("cx", (0, 15))])
     report = run(c, cfg_for("twt"))
@@ -266,6 +281,19 @@ def test_pipelining_starves_without_spare_comm_qubits():
     # the middle core's single comm qubit forces the hops back in sequence
     assert report.requests[0].latency == 2 * HOP
     assert audit_resources(report, scarce) == []
+
+
+@pytest.mark.parametrize("strategy", ["hh", "twt"])
+def test_pipelined_hops_are_granted_in_gate_chain_hop_order(strategy):
+    # every pipelined hop is ready at its layer's start, so the FIFO tie-break
+    # grants a whole chain before the next one: records come out sorted
+    spec = SynthSpec(target_depth=4, requests_per_layer=3, cr_mode=CrMode("random", 6), seed=3)
+    c = gen_synthetic(spec, MESH, 2)
+    cfg = SimConfig(topology=MESH, n_per_core=2, m_per_core=1, strategy=strategy, seed=1, pipeline_hops=True)
+    report = run(c, cfg)
+    order = [(h.gate_id, h.chain, h.hop_index) for h in report.hops]
+    assert len(order) > 3 * 4 and order == sorted(order)
+    assert audit_resources(report, cfg) == []
 
 
 def _paired_rows(circuit, seed=0, **cfg_kw):

@@ -54,8 +54,19 @@ def test_merge_rejects_unknown_keys():
     with pytest.raises(ConfigError, match=r"^unknown config key 'zzz'$"):
         merge_config({"workload": "qft"}, {"zzz": "1"})
     # keys read only when present are known, as is kind
-    merge_config({key: "1" for key in ("sweep.requests", "sweep.seeds", "sweep.cr", "synthetic.requests",
-                                       "synthetic.depth", "timing.max_attempts", "kind")})
+    merge_config({key: "1" for key in ("sweep.requests", "sweep.seeds", "sweep.cr", "synthetic.depth",
+                                       "timing.max_attempts", "kind")})
+    # one key per synthetic sweep axis: the old single-value spellings are gone
+    for key in ("synthetic.cr", "synthetic.requests", "synthetic.requests_per_layer"):
+        with pytest.raises(ConfigError, match=f"^unknown config key '{key}'"):
+            merge_config({key: "1"})
+
+
+def test_readme_configuration_block_names_exactly_the_known_keys():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```\n")[1]
+    assert set(parse_config(block, source="README.md")) == experiment.KNOWN_KEYS
 
 
 def test_merge_layers_override_defaults():
@@ -104,10 +115,12 @@ def test_points_are_ordered_and_deterministic():
 
 
 def test_single_request_count_without_a_sweep_axis():
-    config = merge_config({"workload": "synthetic", "synthetic.requests": "6", "sim.strategy": "hh"})
+    config = merge_config({"workload": "synthetic", "sweep.requests": "6", "sim.strategy": "hh"})
     points = iter_points(config)
     assert len(points) == 1
     assert len(points[0].circuit.gates) == 6
+    # without synthetic.depth each layer holds one request; the radius defaults to fixed:3
+    assert (points[0].workload, points[0].cr_mode) == ("synthetic_d6_rpl1", "fixed:3")
 
 
 def test_requests_must_match_layer_shape():
@@ -187,7 +200,7 @@ def test_seed_sweep_keeps_identity_columns_fixed(tmp_path):
     config = merge_config(
         {
             "workload": "synthetic",
-            "synthetic.cr": "random:6",
+            "sweep.cr": "random:6",
             "sweep.requests": "6",
             "sweep.seeds": "1..5",
             "sim.n_per_core": "4",
@@ -377,19 +390,35 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
         (["--requests", "1..4", "--cr", "fixed:9", "--depth", "3"], "sweep.requests"),
         (["--cr", "fixed:9"], "sweep.cr"),
         (["--depth", "3"], "synthetic.depth"),
-        (["--set", "synthetic.requests=4"], "synthetic.requests"),
-        (["--set", "synthetic.cr=random:2"], "synthetic.cr"),
-        (["--set", "synthetic.requests_per_layer=7"], "synthetic.requests_per_layer"),
     ):
         code = cli.main([*argv, *flags])
         assert code == 1
         assert f"{key}: only the synthetic workload reads it, not 'qft'" in capsys.readouterr().err
+    # the deleted single-value keys are unknown on every workload
+    for workload, setting in (
+        ("qft", "synthetic.requests=4"),
+        ("qft", "synthetic.cr=random:2"),
+        ("qft", "synthetic.requests_per_layer=7"),
+        ("synthetic", "synthetic.requests_per_layer=0"),
+    ):
+        code = cli.main(["sweep", "--workload", workload, "--requests", "4", "--set", setting, "--out", str(tmp_path)])
+        assert code == 1
+        assert f"unknown config key '{setting.partition('=')[0]}'" in capsys.readouterr().err
     code = cli.main(
         ["compare", "--workload", "qft", "--set", "qft.qubits=4", "--set", "synthetic.cr=fixed:99",
          "--set", "synthetic.requests_per_layer=7", "--out", str(tmp_path)]
     )
     assert code == 1
-    assert "synthetic.cr: only the synthetic workload reads it, not 'qft'" in capsys.readouterr().err
+    assert "unknown config key 'synthetic.cr'" in capsys.readouterr().err
+    synthetic = ["sweep", "--workload", "synthetic", "--out", str(tmp_path)]
+    for flags, message in (
+        (["--requests", "4", "--depth", "0"], "synthetic.depth: expected a positive integer, got 0"),
+        (["--requests", "0"], "target_depth must be positive"),
+    ):
+        code = cli.main([*synthetic, *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
 
 def test_cli_names_file_and_line_of_an_unknown_config_key(tmp_path, capsys):

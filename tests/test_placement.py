@@ -66,6 +66,12 @@ def test_invalid_qubit_is_rejected_and_moves_nothing(qubit):
     assert [p.occupancy(0), p.occupancy(1)] == [1, 1]
 
 
+@pytest.mark.parametrize("cores", [[-1, 0], [5]], ids=["negative", "past_the_last"])
+def test_initial_cores_outside_the_mesh_are_rejected(cores):
+    with pytest.raises(ValueError, match=f"^qubit 0 placed on core {cores[0]}, outside 0..1$"):
+        PlacementMap(cores, 2, 1)
+
+
 def test_occupancy_is_conserved_under_random_relocations():
     import random
 
