@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .benchgen import CrMode, SynthSpec, gen_cuccaro, gen_mcmt, gen_qft, gen_quantum_volume, gen_synthetic
 from .circuit import Circuit, parse_circuit
@@ -189,26 +189,24 @@ def timing_from_config(config: dict[str, str]) -> TimingConfig:
     )
 
 
-def sim_config_from(config: dict[str, str], topology: MeshTopology, strategy: str, seed: int) -> SimConfig:
+def sim_config_from(config: dict[str, str]) -> SimConfig:
+    """The engine settings every run of a configuration shares; each run
+    replaces only its strategy and seed."""
     return SimConfig(
-        topology=topology,
+        topology=MeshTopology(_get_int(config, "mesh.width"), _get_int(config, "mesh.height")),
         n_per_core=_get_int(config, "sim.n_per_core"),
         m_per_core=_get_int(config, "sim.m_per_core"),
         timing=timing_from_config(config),
-        strategy=strategy,
-        seed=seed,
         pipeline_hops=_get_bool(config, "sim.pipeline_hops"),
     )
 
 
 @dataclass(frozen=True)
 class RunPoint:
-    """One engine run, i.e. one CSV row."""
+    """One engine run, i.e. one CSV row; ``cfg`` holds its strategy and seed."""
 
     workload: str
     cr_mode: str
-    seed: int
-    strategy: str
     circuit: Circuit
     cfg: SimConfig
 
@@ -229,34 +227,77 @@ def _seeds(config) -> list[int]:
 
 
 def iter_points(config: dict[str, str]) -> list[RunPoint]:
-    """Expand a configuration into a deterministic, ordered list of runs."""
-    workload = config["workload"]
+    """Expand a configuration into a deterministic, ordered list of runs.
+
+    The shared engine settings are checked before any circuit is generated,
+    so a bad key is reported by name rather than by the generator it breaks.
+    """
     strategies = _strategies(config)
-    seeds = _seeds(config)
     # One mesh for every point: each instance carries its own lookup tables.
-    topology = MeshTopology(_get_int(config, "mesh.width"), _get_int(config, "mesh.height"))
-    if workload == "synthetic":
-        runs = _synthetic_runs(config, topology, seeds)
-    else:
-        circuit, label = _named_workload(config, workload)
-        for key in SYNTHETIC_KEYS:
-            if key in config:
-                raise ConfigError(f"{key}: only the synthetic workload reads it, not {workload!r}")
-        runs = [(label, "-", seed, circuit) for seed in seeds]
+    base = sim_config_from(config)
     return [
-        RunPoint(label, cr_mode, seed, strategy, circuit, sim_config_from(config, topology, strategy, seed))
-        for label, cr_mode, seed, circuit in runs
+        RunPoint(label, cr_mode, circuit, replace(base, strategy=strategy, seed=seed))
+        for label, cr_mode, seed, circuit in _runs(config, base.topology)
         for strategy in strategies
     ]
 
 
+def single_circuit(config: dict[str, str]) -> Circuit:
+    """The one circuit a configuration builds, as ``qnocsim gen`` writes it."""
+    # A named workload yields the same circuit object once per seed.
+    built = {id(circuit): circuit for *_, circuit in _runs(config, sim_config_from(config).topology)}
+    if len(built) != 1:
+        raise ConfigError(f"gen writes one circuit; the configuration builds {len(built)}")
+    return next(iter(built.values()))
+
+
+def _runs(config, topology: MeshTopology):
+    """Yield (label, cr_mode, seed, circuit) for every circuit a configuration
+    builds; the one place that turns a workload name into circuits.
+
+    The synthetic workload sweeps sweep.cr x sweep.requests x seeds, and a
+    request count fills synthetic.depth layers evenly, or without a depth
+    one request per layer. Any other workload is one circuit, run once per
+    seed.
+    """
+    workload = config["workload"]
+    seeds = _seeds(config)
+    if workload == "synthetic":
+        yield from _synthetic_runs(config, topology, seeds)
+        return
+    for key in SYNTHETIC_KEYS:
+        if key in config:
+            raise ConfigError(f"{key}: only the synthetic workload reads it, not {workload!r}")
+    if workload == "qft":
+        n = _get_int(config, "qft.qubits")
+        circuit, label = gen_qft(n), f"qft{n}"
+    elif workload == "cuccaro":
+        bits = _get_int(config, "cuccaro.bits")
+        circuit, label = gen_cuccaro(bits), f"cuccaro{bits}"
+    elif workload == "mcmt":
+        controls = _get_int(config, "mcmt.controls")
+        targets = _get_int(config, "mcmt.targets")
+        circuit, label = gen_mcmt(controls, targets), f"mcmt{controls}x{targets}"
+    elif workload == "qv":
+        n = _get_int(config, "qv.qubits")
+        layers = _get_int(config, "qv.layers")
+        circuit, label = gen_quantum_volume(n, layers, _get_int(config, "qv.seed")), f"qv{n}x{layers}"
+    elif os.path.exists(workload):
+        with open(workload, "r", encoding="utf-8") as handle:
+            circuit = parse_circuit(handle.read())
+        label = os.path.splitext(os.path.basename(workload))[0]
+    else:
+        raise ConfigError(f"unknown workload {workload!r} (not a generator name or circuit file)")
+    for seed in seeds:
+        yield label, "-", seed, circuit
+
+
 def _synthetic_runs(config, topology: MeshTopology, seeds: list[int]):
-    """Yield (label, cr_mode, seed, circuit) over sweep.cr x sweep.requests x
-    seeds. A request count fills synthetic.depth layers evenly, or without a
-    depth one request per layer."""
     if "sweep.requests" not in config:
         raise ConfigError("synthetic workload needs sweep.requests")
     counts = _int_list(config["sweep.requests"], "sweep.requests")
+    if min(counts) < 1:
+        raise ConfigError(f"sweep.requests: expected positive counts, got {min(counts)}")
     cr_token = config.get("sweep.cr", "fixed:3")
     cr_modes = [CrMode.parse(t.strip()) for t in cr_token.split(",") if t.strip()]
     if not cr_modes:
@@ -278,29 +319,6 @@ def _synthetic_runs(config, topology: MeshTopology, seeds: list[int]):
                 yield f"synthetic_d{layers}_rpl{rpl}", str(cr_mode), seed, gen_synthetic(spec, topology, qpc)
 
 
-def _named_workload(config, workload: str) -> tuple[Circuit, str]:
-    if workload == "qft":
-        n = _get_int(config, "qft.qubits")
-        return gen_qft(n), f"qft{n}"
-    if workload == "cuccaro":
-        bits = _get_int(config, "cuccaro.bits")
-        return gen_cuccaro(bits), f"cuccaro{bits}"
-    if workload == "mcmt":
-        controls = _get_int(config, "mcmt.controls")
-        targets = _get_int(config, "mcmt.targets")
-        return gen_mcmt(controls, targets), f"mcmt{controls}x{targets}"
-    if workload == "qv":
-        n = _get_int(config, "qv.qubits")
-        layers = _get_int(config, "qv.layers")
-        return gen_quantum_volume(n, layers, _get_int(config, "qv.seed")), f"qv{n}x{layers}"
-    if os.path.exists(workload):
-        with open(workload, "r", encoding="utf-8") as handle:
-            circuit = parse_circuit(handle.read())
-        label = os.path.splitext(os.path.basename(workload))[0]
-        return circuit, label
-    raise ConfigError(f"unknown workload {workload!r} (not a generator name or circuit file)")
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return str(int(value)) if value.is_integer() else repr(value)
@@ -310,10 +328,10 @@ def _fmt(value) -> str:
 def row_for(point: RunPoint, report: SimReport) -> dict[str, object]:
     return {
         "workload": point.workload,
-        "strategy": point.strategy,
+        "strategy": point.cfg.strategy,
         "cr_mode": point.cr_mode,
         "num_requests": report.inter_core_requests,
-        "seed": point.seed,
+        "seed": point.cfg.seed,
         "comm_delay_sum": report.comm_delay_sum,
         "comm_delay_critical": report.comm_delay_critical,
         "total_delay": report.total_delay,
@@ -447,11 +465,11 @@ def default_bundle() -> list[tuple[str, dict[str, str]]]:
     return bundle
 
 
-def run_default_bundle(out_dir: str, collect: list | None = None) -> list[str]:
+def run_default_bundle(out_dir: str) -> list[str]:
     """Run every bundle entry; returns the written artifact paths."""
     paths = []
     for name, config in default_bundle():
-        csv_path, json_path = run_experiment(config, out_dir, name, collect=collect)
+        csv_path, json_path = run_experiment(config, out_dir, name)
         paths.extend(p for p in (csv_path, json_path) if p)
     return paths
 

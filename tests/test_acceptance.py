@@ -168,8 +168,8 @@ def test_criterion_6_real_benchmark_ordering(bundle):
     reductions = {}
     for workload in ("qft", "cuccaro", "mcmt", "qv"):
         pair = [(p, r) for p, r in bundle["runs"] if p.workload.startswith(workload)]
-        hh = next(r for p, r in pair if p.strategy == "hh")
-        twt = next(r for p, r in pair if p.strategy == "twt")
+        hh = next(r for p, r in pair if p.cfg.strategy == "hh")
+        twt = next(r for p, r in pair if p.cfg.strategy == "twt")
         reductions[workload] = (hh.comm_delay_critical - twt.comm_delay_critical) / hh.comm_delay_critical
     assert all(value > 0 for value in reductions.values()), reductions
     assert reductions["qft"] >= reductions["cuccaro"]

@@ -302,7 +302,7 @@ def _paired_rows(circuit, seed=0, **cfg_kw):
     rows = []
     for strategy in ("hh", "twt"):
         cfg = cfg_for(strategy, seed=seed, **cfg_kw)
-        rows.append(row_for(RunPoint("w", "-", seed, strategy, circuit, cfg), run(circuit, cfg)))
+        rows.append(row_for(RunPoint("w", "-", circuit, cfg), run(circuit, cfg)))
     return rows
 
 

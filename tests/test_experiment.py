@@ -8,7 +8,8 @@ import pytest
 from oracles import two_qubit_count
 import qnocsim
 from qnocsim import cli, engine, experiment
-from qnocsim.circuit import parse_circuit
+from qnocsim.benchgen import CrMode, SynthSpec, gen_cuccaro, gen_mcmt, gen_qft, gen_quantum_volume, gen_synthetic
+from qnocsim.circuit import parse_circuit, serialize_circuit
 from qnocsim.experiment import (
     CSV_COLUMNS,
     ConfigError,
@@ -22,6 +23,7 @@ from qnocsim.experiment import (
     run_experiment,
     summarize,
 )
+from qnocsim.topology import MeshTopology
 
 DATA = Path(__file__).parent / "data"
 
@@ -79,7 +81,7 @@ def test_merge_layers_override_defaults():
 def test_int_list_forms():
     config = merge_config({"workload": "synthetic", "sweep.requests": "1..4", "sweep.seeds": "2,5"})
     points = iter_points(config)
-    assert sorted({p.seed for p in points}) == [2, 5]
+    assert sorted({p.cfg.seed for p in points}) == [2, 5]
     counts = sorted({len(p.circuit.gates) for p in points})
     assert counts == [1, 2, 3, 4]
     for key, token, message in (
@@ -103,8 +105,8 @@ def test_points_are_ordered_and_deterministic():
         }
     )
     points = iter_points(config)
-    assert [p.strategy for p in points[:2]] == ["hh", "twt"]
-    keys = [(p.cr_mode, len(p.circuit.gates), p.seed, p.strategy) for p in points]
+    assert [p.cfg.strategy for p in points[:2]] == ["hh", "twt"]
+    keys = [(p.cr_mode, len(p.circuit.gates), p.cfg.seed, p.cfg.strategy) for p in points]
     assert keys == [(cr, n, s, strat)
                     for cr in ("fixed:1", "fixed:3")
                     for n in (2, 4)
@@ -296,13 +298,64 @@ def test_plot_data_rejects_missing_columns(tmp_path):
 
 def test_cli_gen_roundtrip(tmp_path, capsys):
     out = tmp_path / "qft.qc"
-    assert cli.main(["gen", "qft", "--qubits", "5", "--out", str(out)]) == 0
+    assert cli.main(["gen", "--workload", "qft", "--set", "qft.qubits=5", "--out", str(out)]) == 0
     circuit = parse_circuit(out.read_text())
     assert circuit.num_qubits == 5
     assert two_qubit_count(circuit) == 10
-    assert cli.main(["gen", "synthetic", "--depth", "3", "--cr", "fixed:2", "--seed", "1"]) == 0
-    printed = capsys.readouterr().out
-    assert two_qubit_count(parse_circuit(printed)) == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        (["--workload", "qft", "--set", "qft.qubits=5"], lambda: gen_qft(5)),
+        (["--workload", "cuccaro", "--set", "cuccaro.bits=3"], lambda: gen_cuccaro(3)),
+        (["--workload", "mcmt", "--set", "mcmt.controls=3", "--set", "mcmt.targets=2"], lambda: gen_mcmt(3, 2)),
+        (["--workload", "qv", "--set", "qv.qubits=6", "--set", "qv.layers=2"], lambda: gen_quantum_volume(6, 2, 7)),
+        (
+            ["--workload", "synthetic", "--requests", "3", "--cr", "fixed:2", "--seed", "1"],
+            lambda: gen_synthetic(SynthSpec(3, 1, CrMode.parse("fixed:2"), 1), MeshTopology(4, 4), 2),
+        ),
+        (
+            ["--workload", "synthetic", "--depth", "4", "--requests", "8", "--cr", "random:3", "--seed", "5",
+             "--set", "mesh.width=3", "--set", "mesh.height=3", "--set", "sim.n_per_core=4"],
+            lambda: gen_synthetic(SynthSpec(4, 2, CrMode.parse("random:3"), 5), MeshTopology(3, 3), 4),
+        ),
+    ],
+    ids=["qft", "cuccaro", "mcmt", "qv", "synthetic", "synthetic_depth"],
+)
+def test_cli_gen_writes_the_generator_circuit(flags, expected, capsys):
+    assert cli.main(["gen", *flags]) == 0
+    assert capsys.readouterr().out == serialize_circuit(expected())
+
+
+def test_cli_gen_then_compare_matches_the_generated_workload(tmp_path):
+    circuit_file = tmp_path / "c.qc"
+    assert cli.main(["gen", "--workload", "qft", "--set", "qft.qubits=8", "--out", str(circuit_file)]) == 0
+    assert cli.main(["compare", "--workload", str(circuit_file), "--out", str(tmp_path), "--name", "file"]) == 0
+    assert cli.main(["compare", "--workload", "qft", "--set", "qft.qubits=8", "--out", str(tmp_path), "--name", "gen"]) == 0
+    from_file = _read_rows(tmp_path / "file.csv")
+    generated = _read_rows(tmp_path / "gen.csv")
+    assert [r["workload"] for r in from_file] == ["c", "c"]
+    assert [r["workload"] for r in generated] == ["qft8", "qft8"]
+    for row in from_file + generated:
+        del row["workload"]
+    assert from_file == generated
+
+
+def test_cli_gen_rejects_a_configuration_of_several_circuits(capsys):
+    assert cli.main(["gen", "--workload", "synthetic", "--requests", "3,4"]) == 1
+    assert "gen writes one circuit; the configuration builds 2" in capsys.readouterr().err
+    # seeds alone vary the engine, not a named circuit
+    assert cli.main(["gen", "--workload", "qft", "--set", "qft.qubits=3", "--set", "sweep.seeds=1..3"]) == 0
+    assert capsys.readouterr().out == serialize_circuit(gen_qft(3))
+
+
+def test_cli_seed_flag_overrides_the_config_file_seeds(tmp_path):
+    config = tmp_path / "s.cfg"
+    config.write_text("workload = qft\nqft.qubits = 4\nsweep.seeds = 1,2\n")
+    assert cli.main(["run", "--config", str(config), "--seed", "5", "--out", str(tmp_path)]) == 0
+    assert [r["seed"] for r in _read_rows(tmp_path / "results.csv")] == ["5"]
 
 
 def test_cli_compare_runs_config(tmp_path, capsys):
@@ -413,7 +466,9 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
     synthetic = ["sweep", "--workload", "synthetic", "--out", str(tmp_path)]
     for flags, message in (
         (["--requests", "4", "--depth", "0"], "synthetic.depth: expected a positive integer, got 0"),
-        (["--requests", "0"], "target_depth must be positive"),
+        (["--requests", "0"], "sweep.requests: expected positive counts, got 0"),
+        (["--requests", "-5", "--depth", "5"], "sweep.requests: expected positive counts, got -5"),
+        (["--requests", "4", "--set", "sim.n_per_core=0"], "n_per_core must be positive"),
     ):
         code = cli.main([*synthetic, *flags])
         assert code == 1
