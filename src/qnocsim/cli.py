@@ -24,13 +24,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qnocsim", description=__doc__)
     sub = parser.add_subparsers(required=True)
 
-    for kind in ("run", "compare", "sweep"):
-        p = _config_parser(sub, kind, f"{kind} an experiment configuration")
-        p.add_argument("--strategy", choices=["hh", "twt", "both"])
-        p.add_argument("--out", default="results", help="output directory")
-        p.add_argument("--name", default="results", help="artifact basename")
-        p.add_argument("--format", choices=["csv", "json", "both"])
-        p.set_defaults(func=_cmd_experiment, kind=kind)
+    p = _config_parser(sub, "run", "run an experiment configuration, writing <name>.csv and <name>.json")
+    p.add_argument("--strategy", choices=["hh", "twt", "both"])
+    p.add_argument("--out", default="results", help="output directory")
+    p.add_argument("--name", default="results", help="artifact basename")
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("bundle", help="run the default experiment bundle")
     p.add_argument("--out", default="results", help="output directory")
@@ -41,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("plotdata", help="reshape a results CSV into per-figure files")
-    p.add_argument("csv", help="results CSV produced by run/compare/sweep")
+    p.add_argument("csv", help="results CSV produced by run")
     p.add_argument("--out", default="plotdata", help="output directory")
     p.set_defaults(func=_cmd_plotdata)
 
@@ -61,8 +59,9 @@ def _config_parser(sub, name: str, help_text: str) -> argparse.ArgumentParser:
     return p
 
 
-def _config(args, overrides: dict[str, str]) -> dict[str, str]:
-    """DEFAULTS, then --config, then --set, then the named flags and overrides."""
+def _config(args) -> dict[str, str]:
+    """DEFAULTS, then --config, then --set, then the named flags; a flag not
+    given sets nothing."""
     layers = [experiment.load_config(args.config)] if args.config else []
     flags = {}
     for pair in args.set:
@@ -76,34 +75,21 @@ def _config(args, overrides: dict[str, str]) -> dict[str, str]:
         ("sweep.requests", args.requests),
         ("synthetic.depth", args.depth),
         ("sweep.cr", args.cr),
+        ("sim.strategy", getattr(args, "strategy", None)),  # run has --strategy, gen does not
     ):
         if value is not None:
             flags[key] = str(value)
-    flags.update(overrides)
-    layers.append(flags)
-    return experiment.merge_config(*layers)
+    return experiment.merge_config(*layers, flags)
 
 
-def _cmd_experiment(args) -> int:
-    overrides = {"kind": args.kind}
-    if args.strategy:
-        overrides["sim.strategy"] = args.strategy
-    if args.format:
-        overrides["out.format"] = args.format
-    if args.kind == "compare":
-        overrides["sim.strategy"] = "both"
-    config = _config(args, overrides)
-    if args.kind == "run" and config["sim.strategy"] == "both":
-        config["sim.strategy"] = "hh"  # run means one simulation; compare runs both
-    csv_path, json_path = experiment.run_experiment(config, args.out, args.name)
-    for path in (csv_path, json_path):
-        if path:
-            print(path)
+def _cmd_run(args) -> int:
+    for path in experiment.run_experiment(_config(args), args.out, args.name):
+        print(path)
     return 0
 
 
 def _cmd_gen(args) -> int:
-    text = serialize_circuit(experiment.single_circuit(_config(args, {})))
+    text = serialize_circuit(experiment.single_circuit(_config(args)))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

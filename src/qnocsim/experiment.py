@@ -2,7 +2,6 @@
 
 Configuration is a flat key-value text format with dotted keys::
 
-    kind = sweep
     workload = synthetic
     mesh.width = 4
     timing.t_epr = 10
@@ -33,6 +32,7 @@ from .engine import SimConfig, SimReport, run
 from .protocol import TimingConfig
 from .topology import MeshTopology
 
+TEXT_COLUMNS = ("workload", "strategy", "cr_mode")
 CSV_COLUMNS = [
     "workload",
     "strategy",
@@ -51,7 +51,6 @@ CSV_COLUMNS = [
 BENCHMARK_WORKLOADS = ("qft", "cuccaro", "mcmt", "qv")
 
 DEFAULTS = {
-    "kind": "compare",
     "workload": "synthetic",
     "mesh.width": "4",
     "mesh.height": "4",
@@ -73,15 +72,15 @@ DEFAULTS = {
     "qv.qubits": "32",
     "qv.layers": "5",
     "qv.seed": "7",
-    "out.format": "both",
 }
 
 
 # Read only by the synthetic workload; any other workload rejects them.
 SYNTHETIC_KEYS = ("sweep.requests", "sweep.cr", "synthetic.depth")
 
-# Keys read only when present, on top of the ones DEFAULTS always supplies.
-KNOWN_KEYS = frozenset(DEFAULTS) | frozenset(SYNTHETIC_KEYS) | {"sweep.seeds", "timing.max_attempts"}
+# Keys read only when present, on top of the ones DEFAULTS always supplies;
+# kind is accepted and never read, because older configs still set it.
+KNOWN_KEYS = frozenset(DEFAULTS) | frozenset(SYNTHETIC_KEYS) | {"sweep.seeds", "timing.max_attempts", "kind"}
 
 
 class ConfigError(ValueError):
@@ -130,11 +129,15 @@ def _unknown_key_message(key: str) -> str:
     return f"unknown config key {key!r}{hint}"
 
 
-def _get_int(config, key):
+def _get_int(config, key, minimum=None):
     try:
-        return int(config[key])
+        value = int(config[key])
     except ValueError:
         raise ConfigError(f"{key}: expected integer, got {config[key]!r}") from None
+    if minimum is not None and value < minimum:
+        expected = "a positive integer" if minimum == 1 else f"an integer of at least {minimum}"
+        raise ConfigError(f"{key}: expected {expected}, got {value}")
+    return value
 
 
 def _get_float(config, key):
@@ -268,19 +271,20 @@ def _runs(config, topology: MeshTopology):
     for key in SYNTHETIC_KEYS:
         if key in config:
             raise ConfigError(f"{key}: only the synthetic workload reads it, not {workload!r}")
+    # The generators check their own ranges; these checks name the key.
     if workload == "qft":
-        n = _get_int(config, "qft.qubits")
+        n = _get_int(config, "qft.qubits", 1)
         circuit, label = gen_qft(n), f"qft{n}"
     elif workload == "cuccaro":
-        bits = _get_int(config, "cuccaro.bits")
+        bits = _get_int(config, "cuccaro.bits", 1)
         circuit, label = gen_cuccaro(bits), f"cuccaro{bits}"
     elif workload == "mcmt":
-        controls = _get_int(config, "mcmt.controls")
-        targets = _get_int(config, "mcmt.targets")
+        controls = _get_int(config, "mcmt.controls", 1)
+        targets = _get_int(config, "mcmt.targets", 1)
         circuit, label = gen_mcmt(controls, targets), f"mcmt{controls}x{targets}"
     elif workload == "qv":
-        n = _get_int(config, "qv.qubits")
-        layers = _get_int(config, "qv.layers")
+        n = _get_int(config, "qv.qubits", 2)
+        layers = _get_int(config, "qv.layers", 1)
         circuit, label = gen_quantum_volume(n, layers, _get_int(config, "qv.seed")), f"qv{n}x{layers}"
     elif os.path.exists(workload):
         with open(workload, "r", encoding="utf-8") as handle:
@@ -299,12 +303,10 @@ def _synthetic_runs(config, topology: MeshTopology, seeds: list[int]):
     if min(counts) < 1:
         raise ConfigError(f"sweep.requests: expected positive counts, got {min(counts)}")
     cr_token = config.get("sweep.cr", "fixed:3")
-    cr_modes = [CrMode.parse(t.strip()) for t in cr_token.split(",") if t.strip()]
+    cr_modes = [_cr_mode(t.strip(), topology) for t in cr_token.split(",") if t.strip()]
     if not cr_modes:
         raise ConfigError(f"sweep.cr: empty list {cr_token!r}")
-    depth_k = _get_int(config, "synthetic.depth") if "synthetic.depth" in config else None
-    if depth_k is not None and depth_k < 1:
-        raise ConfigError(f"synthetic.depth: expected a positive integer, got {depth_k}")
+    depth_k = _get_int(config, "synthetic.depth", 1) if "synthetic.depth" in config else None
     qpc = _get_int(config, "sim.n_per_core")
     for cr_mode in cr_modes:
         for count in counts:
@@ -317,6 +319,18 @@ def _synthetic_runs(config, topology: MeshTopology, seeds: list[int]):
             for seed in seeds:
                 spec = SynthSpec(target_depth=layers, requests_per_layer=rpl, cr_mode=cr_mode, seed=seed)
                 yield f"synthetic_d{layers}_rpl{rpl}", str(cr_mode), seed, gen_synthetic(spec, topology, qpc)
+
+
+def _cr_mode(token: str, topology: MeshTopology) -> CrMode:
+    """One sweep.cr entry; CrMode and gen_synthetic check the same ranges
+    without naming the key."""
+    try:
+        mode = CrMode.parse(token)
+    except ValueError as error:
+        raise ConfigError(f"sweep.cr: {error}") from None
+    if mode.radius > topology.diameter:
+        raise ConfigError(f"sweep.cr: radius {mode.radius} exceeds mesh diameter {topology.diameter}")
+    return mode
 
 
 def _fmt(value) -> str:
@@ -347,8 +361,9 @@ def run_experiment(
     out_dir: str,
     name: str = "results",
     collect: list | None = None,
-) -> tuple[str | None, str | None]:
-    """Run every point of a configuration, writing CSV and/or JSON artifacts.
+) -> tuple[str, str]:
+    """Run every point of a configuration, writing ``<name>.csv`` and
+    ``<name>.json`` into ``out_dir``.
 
     Rows are written and flushed in spec order as runs finish, so a failing
     point leaves the completed prefix on disk. Pass a list as ``collect`` to
@@ -357,36 +372,26 @@ def run_experiment(
     Returns the written (csv_path, json_path).
     """
     points = iter_points(config)
-    fmt = config["out.format"]
-    if fmt not in ("csv", "json", "both"):
-        raise ConfigError(f"out.format: expected csv, json or both, got {fmt!r}")
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"{name}.csv") if fmt in ("csv", "both") else None
-    json_path = os.path.join(out_dir, f"{name}.json") if fmt in ("json", "both") else None
+    csv_path = os.path.join(out_dir, f"{name}.csv")
+    json_path = os.path.join(out_dir, f"{name}.json")
 
     rows: list[dict] = []
-    csv_file = open(csv_path, "w", encoding="utf-8", newline="") if csv_path else None
-    try:
-        if csv_file:
-            csv_file.write(",".join(CSV_COLUMNS) + "\n")
-            csv_file.flush()
+    with open(csv_path, "w", encoding="utf-8", newline="") as csv_file:
+        csv_file.write(",".join(CSV_COLUMNS) + "\n")
+        csv_file.flush()
         for point in points:
             report = run(point.circuit, point.cfg)
             row = row_for(point, report)
             rows.append(row)
             if collect is not None:
                 collect.append((point, report))
-            if csv_file:
-                csv_file.write(",".join(_fmt(row[c]) for c in CSV_COLUMNS) + "\n")
-                csv_file.flush()
-    finally:
-        if csv_file:
-            csv_file.close()
+            csv_file.write(",".join(_fmt(row[c]) for c in CSV_COLUMNS) + "\n")
+            csv_file.flush()
 
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(summarize(rows), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    with open(json_path, "w", encoding="utf-8") as handle:
+        json.dump(summarize(rows), handle, indent=2, sort_keys=True)
+        handle.write("\n")
     return csv_path, json_path
 
 
@@ -446,7 +451,6 @@ def default_bundle() -> list[tuple[str, dict[str, str]]]:
     bundle = []
     for depth_k in (5, 10):
         base = {
-            "kind": "sweep",
             "workload": "synthetic",
             "sim.n_per_core": "8",
             "synthetic.depth": str(depth_k),
@@ -461,17 +465,40 @@ def default_bundle() -> list[tuple[str, dict[str, str]]]:
         far["sweep.requests"] = ",".join(str(depth_k * rpl) for rpl in (1, 2))
         bundle.append((f"synthetic_depth{depth_k}_far", merge_config(far)))
     for workload in BENCHMARK_WORKLOADS:
-        bundle.append((f"bench_{workload}", merge_config({"kind": "compare", "workload": workload})))
+        bundle.append((f"bench_{workload}", merge_config({"workload": workload})))
     return bundle
 
 
 def run_default_bundle(out_dir: str) -> list[str]:
     """Run every bundle entry; returns the written artifact paths."""
-    paths = []
-    for name, config in default_bundle():
-        csv_path, json_path = run_experiment(config, out_dir, name)
-        paths.extend(p for p in (csv_path, json_path) if p)
-    return paths
+    return [path for name, config in default_bundle() for path in run_experiment(config, out_dir, name)]
+
+
+def read_rows(csv_path: str) -> list[dict]:
+    """A results CSV's rows, with every column but workload, strategy and
+    cr_mode as a float; ``summarize`` of them is the run's JSON summary."""
+    import csv
+
+    with open(csv_path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
+        if missing:
+            raise ValueError(f"{csv_path}: missing columns {missing}")
+        rows = []
+        for row in reader:
+            try:
+                rows.append({c: row[c] if c in TEXT_COLUMNS else float(row[c]) for c in CSV_COLUMNS})
+            except (TypeError, ValueError):  # a short row holds None in its last columns
+                raise ValueError(f"{csv_path}:{reader.line_num}: a numeric column is missing or not a number") from None
+        return rows
+
+
+def _means(pairs) -> dict:
+    """The mean value per key of (key, value) pairs."""
+    groups: dict = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return {key: _mean(values) for key, values in groups.items()}
 
 
 def emit_plot_data(csv_path: str, out_dir: str) -> list[str]:
@@ -482,58 +509,36 @@ def emit_plot_data(csv_path: str, out_dir: str) -> list[str]:
     benchmark_delay.csv   : per named benchmark and strategy.
     benchmark_depth.csv   : original / hh / twt depth bars per benchmark.
     """
-    import csv as csv_mod
-
-    with open(csv_path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv_mod.DictReader(handle)
-        columns = reader.fieldnames or []
-        missing = [c for c in CSV_COLUMNS if c not in columns]
-        if missing:
-            raise ValueError(f"{csv_path}: missing columns {missing}")
-        rows = list(reader)
-
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-
+    rows = read_rows(csv_path)
     synthetic = [r for r in rows if r["workload"].startswith("synthetic")]
     benches = [r for r in rows if not r["workload"].startswith("synthetic")]
-
-    series: dict[tuple[str, str, str], dict[int, list[float]]] = {}
-    for row in synthetic:
-        key = (row["workload"], row["strategy"], row["cr_mode"])
-        series.setdefault(key, {}).setdefault(int(row["num_requests"]), []).append(
-            float(row["comm_delay_critical"])
-        )
-    path = os.path.join(out_dir, "delay_vs_requests.csv")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("workload,series,num_requests,comm_delay\n")
-        for (workload, strategy, cr_mode) in sorted(series):
-            by_x = series[(workload, strategy, cr_mode)]
-            for x in sorted(by_x):
-                handle.write(f"{workload},{strategy} {cr_mode},{x},{_fmt(_mean(by_x[x]))}\n")
-    written.append(path)
-
-    delay: dict[tuple[str, str], list[float]] = {}
-    depth_bars: dict[str, dict[str, list[float]]] = {}
-    for row in benches:
-        delay.setdefault((row["workload"], row["strategy"]), []).append(float(row["comm_delay_critical"]))
-        bars = depth_bars.setdefault(row["workload"], {})
-        bars.setdefault("original", []).append(float(row["original_depth"]))
-        bars.setdefault(row["strategy"], []).append(float(row["expanded_depth"]))
-
-    path = os.path.join(out_dir, "benchmark_delay.csv")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("benchmark,strategy,comm_delay\n")
-        for (workload, strategy) in sorted(delay):
-            handle.write(f"{workload},{strategy},{_fmt(_mean(delay[(workload, strategy)]))}\n")
-    written.append(path)
-
-    path = os.path.join(out_dir, "benchmark_depth.csv")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("benchmark,bar,depth\n")
-        for workload in sorted(depth_bars):
-            for bar in ("original", "hh", "twt"):
-                if bar in depth_bars[workload]:
-                    handle.write(f"{workload},{bar},{_fmt(_mean(depth_bars[workload][bar]))}\n")
-    written.append(path)
+    delay_vs_requests = _means(
+        ((r["workload"], r["strategy"], r["cr_mode"], r["num_requests"]), r["comm_delay_critical"]) for r in synthetic
+    )
+    benchmark_delay = _means(((r["workload"], r["strategy"]), r["comm_delay_critical"]) for r in benches)
+    bars = ("original", "hh", "twt")
+    benchmark_depth = _means(
+        ((r["workload"], bar), r["original_depth" if bar == "original" else "expanded_depth"])
+        for r in benches
+        for bar in ("original", r["strategy"])
+    )
+    tables = {
+        "delay_vs_requests.csv": ["workload,series,num_requests,comm_delay"] + [
+            f"{w},{s} {cr},{_fmt(x)},{_fmt(mean)}" for (w, s, cr, x), mean in sorted(delay_vs_requests.items())
+        ],
+        "benchmark_delay.csv": ["benchmark,strategy,comm_delay"] + [
+            f"{w},{s},{_fmt(mean)}" for (w, s), mean in sorted(benchmark_delay.items())
+        ],
+        "benchmark_depth.csv": ["benchmark,bar,depth"] + [
+            f"{w},{bar},{_fmt(benchmark_depth[w, bar])}"
+            for w, bar in sorted(benchmark_depth, key=lambda key: (key[0], bars.index(key[1])))
+        ],
+    }
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
+    for filename, lines in tables.items():
+        path = os.path.join(out_dir, filename)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        written.append(path)
     return written

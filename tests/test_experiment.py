@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shlex
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,8 @@ from qnocsim.experiment import (
     load_config,
     merge_config,
     parse_config,
-    paired_reductions,
+    read_rows,
+    run_default_bundle,
     run_experiment,
     summarize,
 )
@@ -62,13 +64,28 @@ def test_merge_rejects_unknown_keys():
     for key in ("synthetic.cr", "synthetic.requests", "synthetic.requests_per_layer"):
         with pytest.raises(ConfigError, match=f"^unknown config key '{key}'"):
             merge_config({key: "1"})
+    # every run writes both artifacts, so there is no format key
+    with pytest.raises(ConfigError, match="^unknown config key 'out.format'$"):
+        merge_config({"out.format": "csv"})
 
 
 def test_readme_configuration_block_names_exactly_the_known_keys():
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
     block = section.split("```\n")[1]
-    assert set(parse_config(block, source="README.md")) == experiment.KNOWN_KEYS
+    values = parse_config(block, source="README.md")
+    assert set(values) == experiment.KNOWN_KEYS
+    assert {key: values[key] for key in experiment.DEFAULTS} == experiment.DEFAULTS
+
+
+def test_readme_command_line_block_parses():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in section.split("```\n")[1].splitlines()]
+    assert commands and all(argv[0] == "qnocsim" for argv in commands)
+    parser = cli.build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv[1:]).func
 
 
 def test_merge_layers_override_defaults():
@@ -228,33 +245,12 @@ def test_summary_means_are_exactly_rounded():
 
 
 def test_summary_reductions_match_recompute_from_csv(tmp_path):
-    config = merge_config(
-        {
-            "workload": "synthetic",
-            "sweep.cr": "fixed:3,random:6",
-            "sweep.requests": "2,4,6",
-            "sweep.seeds": "1,2",
-            "sim.n_per_core": "8",
-        }
-    )
-    csv_path, json_path = run_experiment(config, str(tmp_path), "xcheck")
-    summary = json.loads(Path(json_path).read_text())
-    raw = _read_rows(csv_path)
-    rows = [
-        {
-            **row,
-            "seed": int(row["seed"]),
-            "num_requests": int(row["num_requests"]),
-            "comm_delay_sum": float(row["comm_delay_sum"]),
-            "comm_delay_critical": float(row["comm_delay_critical"]),
-            "expanded_depth": int(row["expanded_depth"]),
-        }
-        for row in raw
-    ]
-    for metric in ("comm_delay_sum", "comm_delay_critical", "expanded_depth"):
-        reductions = paired_reductions(rows, metric)
-        recomputed = 100.0 * sum(reductions) / len(reductions)
-        assert summary["reduction_pct"][metric] == pytest.approx(recomputed, rel=1e-9)
+    # every bundle entry's JSON summary is a function of its CSV alone
+    paths = run_default_bundle(str(tmp_path))
+    assert len(paths) == 2 * len(default_bundle())
+    for csv_path, json_path in zip(paths[::2], paths[1::2]):
+        summary = json.dumps(summarize(read_rows(csv_path)), indent=2, sort_keys=True) + "\n"
+        assert summary == Path(json_path).read_text(encoding="utf-8")
 
 
 def test_plot_data_files(tmp_path):
@@ -287,6 +283,12 @@ def test_plot_data_files(tmp_path):
     for row in bars:
         per_bench.setdefault(row["benchmark"], []).append(row["bar"])
     assert per_bench["qft32"] == ["original", "hh", "twt"]
+    # the benchmark bars are the per-strategy means of the JSON summary
+    means = json.loads((tmp_path / "mix_bench.json").read_text())["per_strategy"]
+    delays = {(r["benchmark"], r["strategy"]): float(r["comm_delay"]) for r in _read_rows(written[1])}
+    assert delays == {("qft32", s): means[s]["comm_delay_critical_mean"] for s in ("hh", "twt")}
+    depths = {r["bar"]: float(r["depth"]) for r in bars}
+    assert {s: depths[s] for s in ("hh", "twt")} == {s: means[s]["expanded_depth_mean"] for s in ("hh", "twt")}
 
 
 def test_plot_data_rejects_missing_columns(tmp_path):
@@ -294,6 +296,11 @@ def test_plot_data_rejects_missing_columns(tmp_path):
     bad.write_text("workload,strategy\nx,hh\n")
     with pytest.raises(ValueError):
         emit_plot_data(str(bad), str(tmp_path / "plots"))
+    header = ",".join(CSV_COLUMNS)
+    for row in ("qft4,hh,-,3,1,abc,14,20,3,5,0,1", "qft4,hh,-,3,1,1,14,20,3,5,0"):
+        bad.write_text(f"{header}\nqft4,hh,-,3,1,1,14,20,3,5,0,1\n{row}\n")
+        with pytest.raises(ValueError, match="bad.csv:3: a numeric column is missing or not a number"):
+            emit_plot_data(str(bad), str(tmp_path / "plots"))
 
 
 def test_cli_gen_roundtrip(tmp_path, capsys):
@@ -332,8 +339,8 @@ def test_cli_gen_writes_the_generator_circuit(flags, expected, capsys):
 def test_cli_gen_then_compare_matches_the_generated_workload(tmp_path):
     circuit_file = tmp_path / "c.qc"
     assert cli.main(["gen", "--workload", "qft", "--set", "qft.qubits=8", "--out", str(circuit_file)]) == 0
-    assert cli.main(["compare", "--workload", str(circuit_file), "--out", str(tmp_path), "--name", "file"]) == 0
-    assert cli.main(["compare", "--workload", "qft", "--set", "qft.qubits=8", "--out", str(tmp_path), "--name", "gen"]) == 0
+    assert cli.main(["run", "--workload", str(circuit_file), "--out", str(tmp_path), "--name", "file"]) == 0
+    assert cli.main(["run", "--workload", "qft", "--set", "qft.qubits=8", "--out", str(tmp_path), "--name", "gen"]) == 0
     from_file = _read_rows(tmp_path / "file.csv")
     generated = _read_rows(tmp_path / "gen.csv")
     assert [r["workload"] for r in from_file] == ["c", "c"]
@@ -354,14 +361,14 @@ def test_cli_gen_rejects_a_configuration_of_several_circuits(capsys):
 def test_cli_seed_flag_overrides_the_config_file_seeds(tmp_path):
     config = tmp_path / "s.cfg"
     config.write_text("workload = qft\nqft.qubits = 4\nsweep.seeds = 1,2\n")
-    assert cli.main(["run", "--config", str(config), "--seed", "5", "--out", str(tmp_path)]) == 0
+    assert cli.main(["run", "--config", str(config), "--seed", "5", "--strategy", "hh", "--out", str(tmp_path)]) == 0
     assert [r["seed"] for r in _read_rows(tmp_path / "results.csv")] == ["5"]
 
 
-def test_cli_compare_runs_config(tmp_path, capsys):
+def test_cli_run_runs_config(tmp_path, capsys):
     code = cli.main(
         [
-            "compare",
+            "run",
             "--config",
             os.path.join(DATA, "golden.cfg"),
             "--out",
@@ -372,6 +379,7 @@ def test_cli_compare_runs_config(tmp_path, capsys):
     )
     assert code == 0
     assert (tmp_path / "cli_golden.csv").read_bytes() == (DATA / "golden.csv").read_bytes()
+    assert (tmp_path / "cli_golden.json").read_bytes() == (DATA / "golden.json").read_bytes()
 
 
 def test_cli_flags_override_config(tmp_path):
@@ -385,7 +393,6 @@ def test_cli_flags_override_config(tmp_path):
             "--set", "sim.n_per_core=4",
             "--out", str(tmp_path),
             "--name", "single",
-            "--format", "csv",
         ]
     )
     assert code == 0
@@ -393,24 +400,21 @@ def test_cli_flags_override_config(tmp_path):
     assert len(rows) == 1
     assert rows[0]["strategy"] == "hh"
     assert rows[0]["seed"] == "2"
-    assert not (tmp_path / "single.json").exists()
 
 
-def test_cli_run_defaults_to_a_single_strategy(tmp_path):
-    code = cli.main(
-        [
-            "run",
-            "--workload", "qft",
-            "--set", "qft.qubits=4",
-            "--set", "sim.n_per_core=1",
-            "--out", str(tmp_path),
-            "--name", "one",
-            "--format", "csv",
-        ]
-    )
-    assert code == 0
-    rows = _read_rows(tmp_path / "one.csv")
-    assert [r["strategy"] for r in rows] == ["hh"]
+def test_cli_run_writes_exactly_the_rows_of_the_strategy_flag(tmp_path):
+    config = tmp_path / "s.cfg"
+    qft4 = ["--workload", "qft", "--set", "qft.qubits=4", "--set", "sim.n_per_core=1", "--out", str(tmp_path)]
+    for strategy, expected in (("hh", ["hh"]), ("twt", ["twt"]), ("both", ["hh", "twt"])):
+        assert cli.main(["run", *qft4, "--strategy", strategy]) == 0
+        assert [r["strategy"] for r in _read_rows(tmp_path / "results.csv")] == expected
+        for file_strategy in ("hh", "twt", "both"):
+            config.write_text(f"sim.strategy = {file_strategy}\n")
+            assert cli.main(["run", "--config", str(config), *qft4, "--strategy", strategy]) == 0
+            assert [r["strategy"] for r in _read_rows(tmp_path / "results.csv")] == expected
+    # without the flag, run follows the configuration, whose default is both
+    assert cli.main(["run", *qft4]) == 0
+    assert [r["strategy"] for r in _read_rows(tmp_path / "results.csv")] == ["hh", "twt"]
 
 
 def test_pipeline_flag_reaches_the_engine_config(tmp_path):
@@ -435,10 +439,10 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
     code = cli.main(["run", "--workload", "qft", "--set", "timing.p_bsn=0.5", "--out", str(tmp_path)])
     assert code == 1
     assert "did you mean 'timing.p_bsm'?" in capsys.readouterr().err
-    code = cli.main(["compare", "--workload", "qft", "--set", "sweep.seeds=3..1", "--out", str(tmp_path)])
+    code = cli.main(["run", "--workload", "qft", "--set", "sweep.seeds=3..1", "--out", str(tmp_path)])
     assert code == 1
     assert "sweep.seeds: empty range '3..1'" in capsys.readouterr().err
-    argv = ["compare", "--workload", "qft", "--set", "qft.qubits=8", "--out", str(tmp_path)]
+    argv = ["run", "--workload", "qft", "--set", "qft.qubits=8", "--out", str(tmp_path)]
     for flags, key in (
         (["--requests", "1..4", "--cr", "fixed:9", "--depth", "3"], "sweep.requests"),
         (["--cr", "fixed:9"], "sweep.cr"),
@@ -454,23 +458,36 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
         ("qft", "synthetic.requests_per_layer=7"),
         ("synthetic", "synthetic.requests_per_layer=0"),
     ):
-        code = cli.main(["sweep", "--workload", workload, "--requests", "4", "--set", setting, "--out", str(tmp_path)])
+        code = cli.main(["run", "--workload", workload, "--requests", "4", "--set", setting, "--out", str(tmp_path)])
         assert code == 1
         assert f"unknown config key '{setting.partition('=')[0]}'" in capsys.readouterr().err
     code = cli.main(
-        ["compare", "--workload", "qft", "--set", "qft.qubits=4", "--set", "synthetic.cr=fixed:99",
+        ["run", "--workload", "qft", "--set", "qft.qubits=4", "--set", "synthetic.cr=fixed:99",
          "--set", "synthetic.requests_per_layer=7", "--out", str(tmp_path)]
     )
     assert code == 1
     assert "unknown config key 'synthetic.cr'" in capsys.readouterr().err
-    synthetic = ["sweep", "--workload", "synthetic", "--out", str(tmp_path)]
     for flags, message in (
-        (["--requests", "4", "--depth", "0"], "synthetic.depth: expected a positive integer, got 0"),
-        (["--requests", "0"], "sweep.requests: expected positive counts, got 0"),
-        (["--requests", "-5", "--depth", "5"], "sweep.requests: expected positive counts, got -5"),
-        (["--requests", "4", "--set", "sim.n_per_core=0"], "n_per_core must be positive"),
+        (["--workload", "synthetic", "--requests", "4", "--depth", "0"],
+         "synthetic.depth: expected a positive integer, got 0"),
+        (["--workload", "synthetic", "--requests", "0"], "sweep.requests: expected positive counts, got 0"),
+        (["--workload", "synthetic", "--requests", "-5", "--depth", "5"],
+         "sweep.requests: expected positive counts, got -5"),
+        (["--workload", "synthetic", "--requests", "4", "--set", "sim.n_per_core=0"], "n_per_core must be positive"),
+        # each generator range error names its config key
+        (["--workload", "qv", "--set", "qv.layers=0"], "qv.layers: expected a positive integer, got 0"),
+        (["--workload", "qv", "--set", "qv.qubits=1"], "qv.qubits: expected an integer of at least 2, got 1"),
+        (["--workload", "qft", "--set", "qft.qubits=0"], "qft.qubits: expected a positive integer, got 0"),
+        (["--workload", "cuccaro", "--set", "cuccaro.bits=0"], "cuccaro.bits: expected a positive integer, got 0"),
+        (["--workload", "mcmt", "--set", "mcmt.controls=0"], "mcmt.controls: expected a positive integer, got 0"),
+        (["--workload", "mcmt", "--set", "mcmt.targets=0"], "mcmt.targets: expected a positive integer, got 0"),
+        (["--workload", "synthetic", "--requests", "4", "--cr", "fixed:0"],
+         "sweep.cr: connectivity radius must be positive"),
+        (["--workload", "synthetic", "--requests", "4", "--cr", "bogus"], "sweep.cr: bad cr mode token 'bogus'"),
+        (["--workload", "synthetic", "--requests", "4", "--cr", "fixed:99"],
+         "sweep.cr: radius 99 exceeds mesh diameter 6"),
     ):
-        code = cli.main([*synthetic, *flags])
+        code = cli.main(["run", *flags, "--out", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
@@ -494,7 +511,7 @@ def test_cli_reports_attempt_exhaustion_and_keeps_the_csv_prefix(tmp_path, capsy
 
 
 def test_cli_plotdata(tmp_path):
-    cli.main(["compare", "--config", os.path.join(DATA, "golden.cfg"), "--out", str(tmp_path), "--name", "g"])
+    cli.main(["run", "--config", os.path.join(DATA, "golden.cfg"), "--out", str(tmp_path), "--name", "g"])
     code = cli.main(["plotdata", str(tmp_path / "g.csv"), "--out", str(tmp_path / "plots")])
     assert code == 0
     assert (tmp_path / "plots" / "benchmark_delay.csv").exists()
@@ -538,8 +555,6 @@ def test_bundle_configs_are_runnable_shapes():
         "bench_mcmt",
         "bench_qv",
     ]
-    for _name, config in default_bundle():
-        assert config["out.format"] == "both"
 
 
 def test_every_exported_name_resolves():
