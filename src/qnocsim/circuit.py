@@ -19,9 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-ONE_QUBIT_NAMES = ("h", "u")
-TWO_QUBIT_NAME = "cx"
-
 _ARITY = {"h": 1, "u": 1, "cx": 2}
 
 
@@ -37,13 +34,12 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Gate:
-    gate_id: int
     name: str
     qubits: tuple[int, ...]
 
     @property
     def is_two_qubit(self) -> bool:
-        return self.name == TWO_QUBIT_NAME
+        return _ARITY[self.name] == 2
 
 
 @dataclass(frozen=True)
@@ -54,26 +50,24 @@ class Circuit:
     def __post_init__(self):
         if self.num_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
-        for position, gate in enumerate(self.gates):
-            if gate.gate_id != position:
-                raise ValueError(f"gate at position {position} has id {gate.gate_id}; a gate's id is its position")
+        for gate_id, gate in enumerate(self.gates):
             if gate.name not in _ARITY:
                 raise ValueError(f"unknown gate name {gate.name!r}")
             if len(gate.qubits) != _ARITY[gate.name]:
                 raise ValueError(f"gate {gate.name!r} takes {_ARITY[gate.name]} operand(s), got {gate.qubits}")
             if len(set(gate.qubits)) != len(gate.qubits):
-                raise ValueError(f"gate {gate.gate_id} repeats an operand: {gate.qubits}")
+                raise ValueError(f"gate {gate_id} repeats an operand: {gate.qubits}")
             for q in gate.qubits:
                 if not (0 <= q < self.num_qubits):
-                    raise ValueError(f"gate {gate.gate_id} operand {q} outside 0..{self.num_qubits - 1}")
+                    raise ValueError(f"gate {gate_id} operand {q} outside 0..{self.num_qubits - 1}")
 
     @classmethod
     def from_ops(cls, num_qubits: int, ops) -> "Circuit":
-        """Build a circuit from (name, qubits) pairs, assigning sequential ids."""
-        gates = tuple(Gate(i, name, tuple(qubits)) for i, (name, qubits) in enumerate(ops))
-        return cls(num_qubits, gates)
+        """Build a circuit from (name, qubits) pairs."""
+        return cls(num_qubits, tuple(Gate(name, tuple(qubits)) for name, qubits in ops))
 
     def gate_by_id(self, gate_id: int) -> Gate:
+        """The gate at position gate_id; a gate's id is its position."""
         if not 0 <= gate_id < len(self.gates):
             raise KeyError(gate_id)
         return self.gates[gate_id]
@@ -84,11 +78,11 @@ def layerize(circuit: Circuit) -> list[list[int]]:
     sharing an operand, per-qubit program order preserved."""
     layers: list[list[int]] = []
     qubit_level = [0] * circuit.num_qubits
-    for gate in circuit.gates:
+    for gate_id, gate in enumerate(circuit.gates):
         level = max(qubit_level[q] for q in gate.qubits)
         if level == len(layers):
             layers.append([])
-        layers[level].append(gate.gate_id)
+        layers[level].append(gate_id)
         for q in gate.qubits:
             qubit_level[q] = level + 1
     return layers
@@ -121,16 +115,11 @@ def parse_circuit(text: str) -> Circuit:
             continue
         if num_qubits is None:
             raise ParseError("gate before qubits header", line_no)
-        if directive in ONE_QUBIT_NAMES:
-            (q,) = _parse_int(args, 1, directive, line_no)
-            operands = (q,)
-        elif directive == TWO_QUBIT_NAME:
-            q1, q2 = _parse_int(args, 2, directive, line_no)
-            if q1 == q2:
-                raise ParseError(f"cx operands must differ, got {q1} {q2}", line_no)
-            operands = (q1, q2)
-        else:
+        if directive not in _ARITY:
             raise ParseError(f"unknown directive {directive!r}", line_no)
+        operands = tuple(_parse_int(args, _ARITY[directive], directive, line_no))
+        if len(set(operands)) != len(operands):
+            raise ParseError(f"{directive} operands must differ, got {' '.join(map(str, operands))}", line_no)
         for q in operands:
             if not (0 <= q < num_qubits):
                 raise ParseError(f"operand {q} outside 0..{num_qubits - 1}", line_no)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right, insort
 from dataclasses import dataclass
+from operator import attrgetter
 
 # depth stays bound here although run no longer calls it: perfbench/tracing.py
 # wraps engine.depth by name.
@@ -89,8 +90,6 @@ class RequestRecord:
 
 @dataclass(frozen=True)
 class SimReport:
-    strategy: str
-    seed: int
     total_delay: float
     comm_delay_sum: float
     comm_delay_critical: float
@@ -141,20 +140,6 @@ class _Chain:
         self.attempts = 0
 
 
-class _Request:
-    """One inter-core request of the current layer."""
-
-    __slots__ = ("gate", "src_core", "dst_core", "distance", "rounds", "chains")
-
-    def __init__(self, gate, src_core, dst_core, distance, rounds):
-        self.gate = gate
-        self.src_core = src_core
-        self.dst_core = dst_core
-        self.distance = distance
-        self.rounds = rounds
-        self.chains: list[_Chain] = []
-
-
 def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
     """Simulate a circuit; deterministic per (circuit, cfg).
 
@@ -163,13 +148,12 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
     the gate-list format.
     """
     topo = cfg.topology
-    timing = cfg.timing
-    t_gate = timing.t_gate
+    t_gate = cfg.timing.t_gate
     placement = PlacementMap.initial_mapping(circuit.num_qubits, topo, cfg.n_per_core)
     layers = layerize(circuit)
     gate_by_id = circuit.gate_by_id
     core_of, relocate, occupancy_of = placement.core_of, placement.relocate, placement.occupancy
-    draws = timing.p_bsm < 1  # at p_bsm == 1 no hop consumes randomness, so chains get no stream
+    draws = cfg.timing.p_bsm < 1  # at p_bsm == 1 no hop consumes randomness, so chains get no stream
 
     now = 0.0
     comm_sum = 0.0
@@ -179,12 +163,13 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
     request_records: list[RequestRecord] = []
     hop_records: list[HopRecord] = []
     level = [0] * circuit.num_qubits  # expanded-circuit depth reached by each qubit
+    relocation_order = attrgetter("finish", "gate_id", "chain", "hop_index")  # qubits move as their hops finish
 
     for layer in layers:
         layer_end = now
         local_finish = now + t_gate
         chains: list[_Chain] = []
-        requests: list[_Request] = []
+        requests = []  # (gate_id, src_core, dst_core, distance, rounds, chains), until the record is built
         for gate_id in layer:
             gate = gate_by_id(gate_id)
             if not gate.is_two_qubit:
@@ -203,43 +188,32 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
             level[q_src] += len(comm_plan.src_hops)
             level[q_dst] += len(comm_plan.dst_hops)
             level[q_src] = level[q_dst] = max(level[q_src], level[q_dst]) + 1
-            request = _Request(gate, src_core, dst_core, topo.hop_distance(src_core, dst_core), comm_plan.rounds)
+            request_chains = []
             for chain_idx, (qubit, start_core, hops) in enumerate(
                 [(q_src, src_core, comm_plan.src_hops), (q_dst, dst_core, comm_plan.dst_hops)]
             ):
                 if not hops:
                     continue
                 rng = request_stream(cfg.seed, gate_id, chain_idx) if draws else None
-                chain = _Chain(gate_id, chain_idx, qubit, start_core, hops, now, rng)
-                request.chains.append(chain)
-                chains.append(chain)
-            requests.append(request)
+                request_chains.append(_Chain(gate_id, chain_idx, qubit, start_core, hops, now, rng))
+            chains += request_chains
+            distance = topo.hop_distance(src_core, dst_core)
+            requests.append((gate_id, src_core, dst_core, distance, comm_plan.rounds, request_chains))
 
-        relocations = _drain_hops(topo, timing, cfg, chains, now, hop_records)
-
-        relocations.sort()
-        for _finish, _gate_id, _chain_idx, _hop_idx, qubit, dst in relocations:
-            if relocate(qubit, dst):
+        layer_hops = len(hop_records)
+        _drain_hops(cfg, chains, now, hop_records)
+        for hop in sorted(hop_records[layer_hops:], key=relocation_order):
+            if relocate(hop.qubit, hop.dst_core):
                 congestion_events += 1
-            occupancy = occupancy_of(dst)
+            occupancy = occupancy_of(hop.dst_core)
             if occupancy > max_occupancy:
                 max_occupancy = occupancy
 
         layer_latency = 0.0
-        for request in requests:
-            arrival = max(chain.finish for chain in request.chains)
-            attempts = sum(chain.attempts for chain in request.chains)
-            gate = request.gate
-            record = RequestRecord(
-                gate_id=gate.gate_id,
-                src_core=request.src_core,
-                dst_core=request.dst_core,
-                distance=request.distance,
-                rounds=request.rounds,
-                attempts=attempts,
-                issue=now,
-                arrival=arrival,
-            )
+        for gate_id, src_core, dst_core, distance, rounds, request_chains in requests:
+            arrival = max(chain.finish for chain in request_chains)
+            attempts = sum(chain.attempts for chain in request_chains)
+            record = RequestRecord(gate_id, src_core, dst_core, distance, rounds, attempts, now, arrival)
             request_records.append(record)
             comm_sum += record.latency
             layer_latency = max(layer_latency, record.latency)
@@ -249,8 +223,6 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
         now = layer_end
 
     return SimReport(
-        strategy=cfg.strategy,
-        seed=cfg.seed,
         total_delay=now,
         comm_delay_sum=comm_sum,
         comm_delay_critical=comm_critical,
@@ -265,8 +237,9 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
     )
 
 
-def _drain_hops(topo, timing, cfg, chains, layer_start, hop_records):
-    """Grant every hop of the layer's chains; returns relocation events."""
+def _drain_hops(cfg, chains, layer_start, hop_records):
+    """Grant every hop of the layer's chains, appending one HopRecord each."""
+    topo, timing = cfg.topology, cfg.timing
     resources = _Resources(topo.num_cores, cfg.m_per_core)
     link_busy_until = resources.link_busy_until
     comm_free_at = resources.comm_free_at
@@ -285,8 +258,6 @@ def _drain_hops(topo, timing, cfg, chains, layer_start, hop_records):
     pending = [(layer_start, chain.gate_id, chain.index, 0, chain) for chain in chains]
     heapq.heapify(pending)
 
-    relocations = []
-    add_relocation = relocations.append
     # Same arithmetic as max(), written out; TimingConfig rejects NaN, on
     # which the two would differ.
     while pending:
@@ -308,33 +279,24 @@ def _drain_hops(topo, timing, cfg, chains, layer_start, hop_records):
             finish = epr_done
         finish += tail
         grant(link, src, dst, start, finish)
-        qubit = chain.qubit
-        add_hop(HopRecord(gate_id, chain_idx, hop_idx, qubit, link, src, dst, attempts, start, finish))
-        add_relocation((finish, gate_id, chain_idx, hop_idx, qubit, dst))
+        add_hop(HopRecord(gate_id, chain_idx, hop_idx, chain.qubit, link, src, dst, attempts, start, finish))
         chain.position = dst
         chain.finish = finish
         chain.attempts += attempts
         if hop_idx + 1 < len(chain.hops):
             heappush(pending, (layer_start if pipelined else finish, gate_id, chain_idx, hop_idx + 1, chain))
-    return relocations
 
 
-def _resources_cross_section(report: SimReport):
-    """(link intervals, per-core hold intervals) extracted from a report."""
+def audit_resources(report: SimReport, cfg: SimConfig) -> list[str]:
+    """Event-trace audit: every BSM link serves one teleport at a time and no
+    core ever exceeds its communication-qubit pool. Returns violations."""
     link_intervals: dict[tuple[int, int], list[tuple[float, float]]] = {}
     core_intervals: dict[int, list[tuple[float, float]]] = {}
     for hop in report.hops:
         link_intervals.setdefault(hop.link, []).append((hop.start, hop.finish))
         for core in hop.link:
             core_intervals.setdefault(core, []).append((hop.start, hop.finish))
-    return link_intervals, core_intervals
-
-
-def audit_resources(report: SimReport, cfg: SimConfig) -> list[str]:
-    """Event-trace audit: every BSM link serves one teleport at a time and no
-    core ever exceeds its communication-qubit pool. Returns violations."""
     violations = []
-    link_intervals, core_intervals = _resources_cross_section(report)
     for link, intervals in sorted(link_intervals.items()):
         intervals.sort()
         for (s1, f1), (s2, f2) in zip(intervals, intervals[1:]):

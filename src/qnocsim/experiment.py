@@ -180,25 +180,22 @@ def _int_list(token: str, key: str) -> list[int]:
 def timing_from_config(config: dict[str, str]) -> TimingConfig:
     max_attempts = None
     if "timing.max_attempts" in config:
-        max_attempts = _get_int(config, "timing.max_attempts")
-    return TimingConfig(
-        t_epr=_get_float(config, "timing.t_epr"),
-        t_meas=_get_float(config, "timing.t_meas"),
-        t_classical=_get_float(config, "timing.t_classical"),
-        t_correct=_get_float(config, "timing.t_correct"),
-        t_gate=_get_float(config, "timing.t_gate"),
-        p_bsm=_get_float(config, "timing.p_bsm"),
-        max_attempts=max_attempts,
-    )
+        max_attempts = _get_int(config, "timing.max_attempts", 1)
+    names = ("t_epr", "t_meas", "t_classical", "t_correct", "t_gate", "p_bsm")
+    values = {name: _get_float(config, f"timing.{name}") for name in names}
+    try:
+        return TimingConfig(**values, max_attempts=max_attempts)
+    except ValueError as error:  # each message starts with the field's name
+        raise ConfigError(f"timing.{error}") from None
 
 
 def sim_config_from(config: dict[str, str]) -> SimConfig:
     """The engine settings every run of a configuration shares; each run
     replaces only its strategy and seed."""
     return SimConfig(
-        topology=MeshTopology(_get_int(config, "mesh.width"), _get_int(config, "mesh.height")),
-        n_per_core=_get_int(config, "sim.n_per_core"),
-        m_per_core=_get_int(config, "sim.m_per_core"),
+        topology=MeshTopology(_get_int(config, "mesh.width", 1), _get_int(config, "mesh.height", 1)),
+        n_per_core=_get_int(config, "sim.n_per_core", 1),
+        m_per_core=_get_int(config, "sim.m_per_core", 1),
         timing=timing_from_config(config),
         pipeline_hops=_get_bool(config, "sim.pipeline_hops"),
     )
@@ -233,14 +230,23 @@ def iter_points(config: dict[str, str]) -> list[RunPoint]:
     """Expand a configuration into a deterministic, ordered list of runs.
 
     The shared engine settings are checked before any circuit is generated,
-    so a bad key is reported by name rather than by the generator it breaks.
+    so a bad key is reported by name rather than by the generator it breaks,
+    and every circuit is checked to fit the mesh before any run starts.
     """
     strategies = _strategies(config)
     # One mesh for every point: each instance carries its own lookup tables.
     base = sim_config_from(config)
+    runs = list(_runs(config, base.topology))
+    cores = base.topology.num_cores
+    for label, _cr_mode, _seed, circuit in runs:
+        if circuit.num_qubits > cores * base.n_per_core:
+            raise ConfigError(
+                f"sim.n_per_core: {label} (workload {config['workload']!r}) has {circuit.num_qubits} qubits,"
+                f" more than {cores} cores x {base.n_per_core}"
+            )
     return [
         RunPoint(label, cr_mode, circuit, replace(base, strategy=strategy, seed=seed))
-        for label, cr_mode, seed, circuit in _runs(config, base.topology)
+        for label, cr_mode, seed, circuit in runs
         for strategy in strategies
     ]
 
@@ -356,18 +362,13 @@ def row_for(point: RunPoint, report: SimReport) -> dict[str, object]:
     }
 
 
-def run_experiment(
-    config: dict[str, str],
-    out_dir: str,
-    name: str = "results",
-    collect: list | None = None,
-) -> tuple[str, str]:
+def run_experiment(config: dict[str, str], out_dir: str, name: str = "results") -> tuple[str, str]:
     """Run every point of a configuration, writing ``<name>.csv`` and
     ``<name>.json`` into ``out_dir``.
 
     Rows are written and flushed in spec order as runs finish, so a failing
-    point leaves the completed prefix on disk. Pass a list as ``collect`` to
-    also receive (point, report) pairs in row order.
+    point leaves the completed prefix on disk. The JSON is
+    ``summarize(read_rows(csv_path))``.
 
     Returns the written (csv_path, json_path).
     """
@@ -376,21 +377,16 @@ def run_experiment(
     csv_path = os.path.join(out_dir, f"{name}.csv")
     json_path = os.path.join(out_dir, f"{name}.json")
 
-    rows: list[dict] = []
     with open(csv_path, "w", encoding="utf-8", newline="") as csv_file:
         csv_file.write(",".join(CSV_COLUMNS) + "\n")
         csv_file.flush()
         for point in points:
-            report = run(point.circuit, point.cfg)
-            row = row_for(point, report)
-            rows.append(row)
-            if collect is not None:
-                collect.append((point, report))
+            row = row_for(point, run(point.circuit, point.cfg))
             csv_file.write(",".join(_fmt(row[c]) for c in CSV_COLUMNS) + "\n")
             csv_file.flush()
 
     with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(summarize(rows), handle, indent=2, sort_keys=True)
+        json.dump(summarize(read_rows(csv_path)), handle, indent=2, sort_keys=True)
         handle.write("\n")
     return csv_path, json_path
 

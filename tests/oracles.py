@@ -32,8 +32,8 @@ def expanded_by_program_order(circuit: Circuit, hops) -> Circuit:
     for hop in sorted(hops, key=lambda h: (h.gate_id, h.chain, h.hop_index)):
         markers.setdefault(hop.gate_id, []).append(("u", (hop.qubit,)))
     ops = []
-    for gate in circuit.gates:
-        ops.extend(markers.pop(gate.gate_id, []))
+    for gate_id, gate in enumerate(circuit.gates):
+        ops.extend(markers.pop(gate_id, []))
         ops.append((gate.name, gate.qubits))
     assert not markers, f"hops for unknown gates {sorted(markers)}"
     return Circuit.from_ops(circuit.num_qubits, ops)

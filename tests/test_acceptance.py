@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from oracles import dag_depth_oracle, expanded_by_program_order
+from qnocsim import experiment
 from qnocsim.benchgen import CrMode, SynthSpec, gen_synthetic
 from qnocsim.circuit import Circuit
 from qnocsim.engine import SimConfig, audit_resources, run
@@ -66,12 +67,20 @@ def _linear_fit_residual(xs, ys):
 @pytest.fixture(scope="module")
 def bundle(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("bundle")
-    collected = []
-    started = time.perf_counter()
-    for name, config in default_bundle():
-        run_experiment(config, str(out_dir), name, collect=collected)
-    elapsed = time.perf_counter() - started
-    return {"dir": out_dir, "runs": collected, "elapsed": elapsed}
+    runs = []  # (point, report) in row order, seen as run_experiment formats each row
+    row_for = experiment.row_for
+
+    def collecting_row_for(point, report):
+        runs.append((point, report))
+        return row_for(point, report)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment, "row_for", collecting_row_for)
+        started = time.perf_counter()
+        for name, config in default_bundle():
+            run_experiment(config, str(out_dir), name)
+        elapsed = time.perf_counter() - started
+    return {"dir": out_dir, "runs": runs, "elapsed": elapsed}
 
 
 def test_criterion_1_route_fidelity():

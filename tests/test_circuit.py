@@ -40,9 +40,9 @@ def test_layering_respects_per_qubit_order():
             for gate_id in layer:
                 layer_of[gate_id] = level
         for i, g1 in enumerate(c.gates):
-            for g2 in c.gates[i + 1:]:
+            for j, g2 in enumerate(c.gates[i + 1:], start=i + 1):
                 if set(g1.qubits) & set(g2.qubits):
-                    assert layer_of[g1.gate_id] < layer_of[g2.gate_id]
+                    assert layer_of[i] < layer_of[j]
 
 
 def test_no_layer_shares_an_operand():
@@ -65,7 +65,7 @@ def test_depth_matches_longest_path_oracle(seed):
 def test_parse_minimal_document():
     c = parse_circuit("qubits 2\ncx 0 1\n")
     assert c.num_qubits == 2
-    assert c.gates == (Gate(0, "cx", (0, 1)),)
+    assert c.gates == (Gate("cx", (0, 1)),)
     assert c.gate_by_id(0) is c.gates[0]
     for gate_id in (-1, 1):  # ids are positions 0..n-1, never counted from the end
         with pytest.raises(KeyError):
@@ -123,9 +123,5 @@ def test_circuit_validation():
         Circuit.from_ops(2, [("h", (0, 1))])
     with pytest.raises(ValueError):
         Circuit.from_ops(2, [("tp", (0,))])  # no gate name is reserved for teleport markers
-    with pytest.raises(ValueError):
-        Circuit(2, (Gate(1, "h", (0,)), Gate(0, "h", (1,))))
-    with pytest.raises(ValueError, match="gate at position 1 has id 2"):
-        Circuit(2, (Gate(0, "h", (0,)), Gate(2, "h", (1,))))  # a gate's id is its position
     with pytest.raises(ValueError):
         Circuit(0, ())

@@ -340,19 +340,28 @@ def test_request_records_carry_distance_and_rounds():
 
 
 def test_occupancy_is_conserved_and_hop_log_replays_the_final_placement():
+    """Qubits relocate in hop finish order (ties by gate, chain, hop index):
+    replaying the hop log in that order gives the final placement, the
+    congestion count and the peak core occupancy."""
     from qnocsim.placement import PlacementMap
 
-    spec = SynthSpec(target_depth=6, requests_per_layer=2, cr_mode=CrMode("random", 6), seed=4)
-    c = gen_synthetic(spec, MESH, 8)
-    for strategy in ("hh", "twt"):
-        report = run(c, cfg_for(strategy, n=8, seed=4))
-        assert len(report.final_placement) == c.num_qubits
-        assert all(0 <= core < 16 for core in report.final_placement)
-        replay = PlacementMap.initial_mapping(c.num_qubits, MESH, 8)
-        for hop in sorted(report.hops, key=lambda h: (h.finish, h.gate_id, h.chain, h.hop_index)):
-            replay.relocate(hop.qubit, hop.dst_core)
-        assert tuple(replay.core_of(q) for q in range(c.num_qubits)) == report.final_placement
-        assert sum(replay.occupancy(core) for core in range(16)) == c.num_qubits
+    for seed in range(1, 6):
+        spec = SynthSpec(target_depth=6, requests_per_layer=2, cr_mode=CrMode("random", 6), seed=seed)
+        c = gen_synthetic(spec, MESH, 8)
+        for strategy in ("hh", "twt"):
+            for p_bsm in (1.0, 0.5):
+                report = run(c, cfg_for(strategy, n=8, seed=seed, p_bsm=p_bsm))
+                assert len(report.final_placement) == c.num_qubits
+                assert all(0 <= core < 16 for core in report.final_placement)
+                replay = PlacementMap.initial_mapping(c.num_qubits, MESH, 8)
+                congestion, peak = 0, replay.max_occupancy()
+                for hop in sorted(report.hops, key=lambda h: (h.finish, h.gate_id, h.chain, h.hop_index)):
+                    congestion += replay.relocate(hop.qubit, hop.dst_core)
+                    peak = max(peak, replay.occupancy(hop.dst_core))
+                run_id = (seed, strategy, p_bsm)
+                assert tuple(replay.core_of(q) for q in range(c.num_qubits)) == report.final_placement, run_id
+                assert sum(replay.occupancy(core) for core in range(16)) == c.num_qubits
+                assert (congestion, peak) == (report.congestion_events, report.max_core_occupancy), run_id
 
 
 def test_hh_parks_both_operands_at_the_destination_core():

@@ -254,9 +254,8 @@ def test_summary_reductions_match_recompute_from_csv(tmp_path):
 
 
 def test_plot_data_files(tmp_path):
-    collect = []
     bundle = dict(default_bundle())
-    run_experiment(bundle["synthetic_depth5"], str(tmp_path), "mix", collect=collect)
+    run_experiment(bundle["synthetic_depth5"], str(tmp_path), "mix")
     bench_csv, _ = run_experiment(bundle["bench_qft"], str(tmp_path), "mix_bench")
     # merge both CSVs into one results file
     merged = tmp_path / "merged.csv"
@@ -467,13 +466,28 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
     )
     assert code == 1
     assert "unknown config key 'synthetic.cr'" in capsys.readouterr().err
+    big = tmp_path / "big.qc"
+    big.write_text("qubits 40\ncx 0 39\n")
     for flags, message in (
         (["--workload", "synthetic", "--requests", "4", "--depth", "0"],
          "synthetic.depth: expected a positive integer, got 0"),
         (["--workload", "synthetic", "--requests", "0"], "sweep.requests: expected positive counts, got 0"),
         (["--workload", "synthetic", "--requests", "-5", "--depth", "5"],
          "sweep.requests: expected positive counts, got -5"),
-        (["--workload", "synthetic", "--requests", "4", "--set", "sim.n_per_core=0"], "n_per_core must be positive"),
+        # engine settings name their config key
+        (["--workload", "synthetic", "--requests", "4", "--set", "sim.n_per_core=0"],
+         "sim.n_per_core: expected a positive integer, got 0"),
+        (["--workload", "qft", "--set", "sim.m_per_core=0"], "sim.m_per_core: expected a positive integer, got 0"),
+        (["--workload", "qft", "--set", "mesh.width=0"], "mesh.width: expected a positive integer, got 0"),
+        (["--workload", "qft", "--set", "mesh.height=-2"], "mesh.height: expected a positive integer, got -2"),
+        (["--workload", "qft", "--set", "timing.p_bsm=2"], "timing.p_bsm must be in (0, 1], got 2.0"),
+        (["--workload", "qft", "--set", "timing.t_epr=-1"], "timing.t_epr must be finite and non-negative, got -1.0"),
+        (["--workload", "qft", "--set", "timing.max_attempts=0"],
+         "timing.max_attempts: expected a positive integer, got 0"),
+        # a circuit too large for the mesh is refused before any run starts
+        (["--workload", "qft", "--set", "qft.qubits=40"],
+         "sim.n_per_core: qft40 (workload 'qft') has 40 qubits, more than 16 cores x 2"),
+        (["--workload", str(big)], f"sim.n_per_core: big (workload '{big}') has 40 qubits, more than 16 cores x 2"),
         # each generator range error names its config key
         (["--workload", "qv", "--set", "qv.layers=0"], "qv.layers: expected a positive integer, got 0"),
         (["--workload", "qv", "--set", "qv.qubits=1"], "qv.qubits: expected an integer of at least 2, got 1"),
@@ -487,10 +501,12 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
         (["--workload", "synthetic", "--requests", "4", "--cr", "fixed:99"],
          "sweep.cr: radius 99 exceeds mesh diameter 6"),
     ):
-        code = cli.main(["run", *flags, "--out", str(tmp_path)])
+        out_dir = tmp_path / "refused"
+        code = cli.main(["run", *flags, "--out", str(out_dir)])
         assert code == 1
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert not out_dir.exists()  # refused before results.csv is opened
 
 
 def test_cli_names_file_and_line_of_an_unknown_config_key(tmp_path, capsys):
