@@ -18,6 +18,7 @@ whitespace-separated decimal integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 _ARITY = {"h": 1, "u": 1, "cx": 2}
 
@@ -32,7 +33,7 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     name: str
     qubits: tuple[int, ...]
@@ -48,18 +49,22 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
-        if self.num_qubits < 1:
+        num_qubits = self.num_qubits
+        if num_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
+        arity_of = _ARITY.get
         for gate_id, gate in enumerate(self.gates):
-            if gate.name not in _ARITY:
+            qubits = gate.qubits
+            arity = arity_of(gate.name)
+            if arity is None:
                 raise ValueError(f"unknown gate name {gate.name!r}")
-            if len(gate.qubits) != _ARITY[gate.name]:
-                raise ValueError(f"gate {gate.name!r} takes {_ARITY[gate.name]} operand(s), got {gate.qubits}")
-            if len(set(gate.qubits)) != len(gate.qubits):
-                raise ValueError(f"gate {gate_id} repeats an operand: {gate.qubits}")
-            for q in gate.qubits:
-                if not (0 <= q < self.num_qubits):
-                    raise ValueError(f"gate {gate_id} operand {q} outside 0..{self.num_qubits - 1}")
+            if len(qubits) != arity:
+                raise ValueError(f"gate {gate.name!r} takes {arity} operand(s), got {qubits}")
+            if len(set(qubits)) != arity:
+                raise ValueError(f"gate {gate_id} repeats an operand: {qubits}")
+            for q in qubits:
+                if not (0 <= q < num_qubits):
+                    raise ValueError(f"gate {gate_id} operand {q} outside 0..{num_qubits - 1}")
 
     @classmethod
     def from_ops(cls, num_qubits: int, ops) -> "Circuit":
@@ -72,24 +77,36 @@ class Circuit:
             raise KeyError(gate_id)
         return self.gates[gate_id]
 
+    @cached_property
+    def layers(self) -> tuple[tuple[int, ...], ...]:
+        """Greedy ASAP layering: tuples of gate ids, no two gates in a layer
+        sharing an operand, per-qubit program order preserved.
+
+        Computed once per circuit; the circuit is immutable, so the cache
+        cannot go stale, and it is not a field, so equality ignores it.
+        """
+        layers: list[list[int]] = []
+        qubit_level = [0] * self.num_qubits
+        level_of = qubit_level.__getitem__
+        for gate_id, gate in enumerate(self.gates):
+            qubits = gate.qubits
+            level = max(map(level_of, qubits))
+            if level == len(layers):
+                layers.append([gate_id])
+            else:
+                layers[level].append(gate_id)
+            for q in qubits:
+                qubit_level[q] = level + 1
+        return tuple(map(tuple, layers))
+
 
 def layerize(circuit: Circuit) -> list[list[int]]:
-    """Greedy ASAP layering: lists of gate ids, no two gates in a layer
-    sharing an operand, per-qubit program order preserved."""
-    layers: list[list[int]] = []
-    qubit_level = [0] * circuit.num_qubits
-    for gate_id, gate in enumerate(circuit.gates):
-        level = max(qubit_level[q] for q in gate.qubits)
-        if level == len(layers):
-            layers.append([])
-        layers[level].append(gate_id)
-        for q in gate.qubits:
-            qubit_level[q] = level + 1
-    return layers
+    """``circuit.layers`` as new lists, which the caller may change."""
+    return list(map(list, circuit.layers))
 
 
 def depth(circuit: Circuit) -> int:
-    return len(layerize(circuit))
+    return len(circuit.layers)
 
 
 def parse_circuit(text: str) -> Circuit:

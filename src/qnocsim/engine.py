@@ -150,8 +150,8 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
     topo = cfg.topology
     t_gate = cfg.timing.t_gate
     placement = PlacementMap.initial_mapping(circuit.num_qubits, topo, cfg.n_per_core)
-    layers = layerize(circuit)
-    gate_by_id = circuit.gate_by_id
+    layers = layerize(circuit)  # looked up as a module global: perfbench/tracing.py wraps it
+    gates = circuit.gates
     core_of, relocate, occupancy_of = placement.core_of, placement.relocate, placement.occupancy
     draws = cfg.timing.p_bsm < 1  # at p_bsm == 1 no hop consumes randomness, so chains get no stream
 
@@ -166,21 +166,20 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
     relocation_order = attrgetter("finish", "gate_id", "chain", "hop_index")  # qubits move as their hops finish
 
     for layer in layers:
-        layer_end = now
-        local_finish = now + t_gate
+        has_local = False  # a gate that needs no teleport finishes at now + t_gate
         chains: list[_Chain] = []
         requests = []  # (gate_id, src_core, dst_core, distance, rounds, chains), until the record is built
         for gate_id in layer:
-            gate = gate_by_id(gate_id)
-            if not gate.is_two_qubit:
-                layer_end = max(layer_end, local_finish)
-                level[gate.qubits[0]] += 1
+            qubits = gates[gate_id].qubits
+            if len(qubits) == 1:  # Circuit has checked every gate's arity
+                has_local = True
+                level[qubits[0]] += 1
                 continue
-            q_src, q_dst = gate.qubits
+            q_src, q_dst = qubits
             src_core = core_of(q_src)
             dst_core = core_of(q_dst)
             if src_core == dst_core:
-                layer_end = max(layer_end, local_finish)
+                has_local = True
                 level[q_src] = level[q_dst] = max(level[q_src], level[q_dst]) + 1
                 continue
             comm_plan = plan(cfg.strategy, topo, src_core, dst_core)
@@ -200,6 +199,7 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
             distance = topo.hop_distance(src_core, dst_core)
             requests.append((gate_id, src_core, dst_core, distance, comm_plan.rounds, request_chains))
 
+        layer_end = now + t_gate if has_local else now  # t_gate >= 0, so this is max(now, now + t_gate)
         layer_hops = len(hop_records)
         _drain_hops(cfg, chains, now, hop_records)
         for hop in sorted(hop_records[layer_hops:], key=relocation_order):
@@ -264,7 +264,7 @@ def _drain_hops(cfg, chains, layer_start, hop_records):
         ready, gate_id, chain_idx, hop_idx, chain = heappop(pending)
         src = chain.position
         dst = chain.hops[hop_idx]
-        link = link_between(src, dst)
+        link = link_between(src, dst)  # the topology's shared tuple; a new (min, max) per hop costs peak RSS
         base = link_busy_until.get(link, 0.0)
         if ready > base:
             base = ready

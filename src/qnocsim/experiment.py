@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from .benchgen import CrMode, SynthSpec, gen_cuccaro, gen_mcmt, gen_qft, gen_quantum_volume, gen_synthetic
 from .circuit import Circuit, parse_circuit
 from .engine import SimConfig, SimReport, run
-from .protocol import TimingConfig
+from .protocol import ProtocolError, TimingConfig
 from .topology import MeshTopology
 
 TEXT_COLUMNS = ("workload", "strategy", "cr_mode")
@@ -381,7 +381,15 @@ def run_experiment(config: dict[str, str], out_dir: str, name: str = "results") 
         csv_file.write(",".join(CSV_COLUMNS) + "\n")
         csv_file.flush()
         for point in points:
-            row = row_for(point, run(point.circuit, point.cfg))
+            # No name holds the report: the previous run's hop log would stay
+            # alive while the next run builds its own, raising peak memory.
+            try:
+                row = row_for(point, run(point.circuit, point.cfg))
+            except ProtocolError as error:
+                raise ProtocolError(
+                    f"{error} (timing.max_attempts) in the run workload={point.workload}"
+                    f" cr_mode={point.cr_mode} strategy={point.cfg.strategy} seed={point.cfg.seed}"
+                ) from error
             csv_file.write(",".join(_fmt(row[c]) for c in CSV_COLUMNS) + "\n")
             csv_file.flush()
 

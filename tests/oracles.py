@@ -25,6 +25,21 @@ def dag_depth_oracle(circuit: Circuit) -> int:
     return max(longest, default=0)
 
 
+def layerize_reference(circuit: Circuit) -> list[list[int]]:
+    """Greedy ASAP layering as first written: each gate joins the layer after
+    the last one that used any of its operands."""
+    layers: list[list[int]] = []
+    qubit_level = [0] * circuit.num_qubits
+    for gate_id, gate in enumerate(circuit.gates):
+        level = max(qubit_level[q] for q in gate.qubits)
+        if level == len(layers):
+            layers.append([])
+        layers[level].append(gate_id)
+        for q in gate.qubits:
+            qubit_level[q] = level + 1
+    return layers
+
+
 def expanded_by_program_order(circuit: Circuit, hops) -> Circuit:
     """The circuit with one ``u`` marker per hop on the hop's qubit, in hop
     order (chain, then hop index), just before the gate that requested it."""

@@ -1,6 +1,10 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
-from oracles import dag_depth_oracle, random_circuit
+from oracles import dag_depth_oracle, layerize_reference, random_circuit
 from qnocsim.circuit import Circuit, Gate, ParseError, depth, layerize, parse_circuit, serialize_circuit
 
 
@@ -54,6 +58,59 @@ def test_no_layer_shares_an_operand():
                 qubits = set(c.gate_by_id(gate_id).qubits)
                 assert not (qubits & seen)
                 seen |= qubits
+
+
+_LAYERING_CASES = {
+    **{f"random{seed}": random_circuit(6, 60, seed) for seed in range(20)},
+    "one_qubit_only": random_circuit(3, 25, 5, two_qubit_bias=0.0),
+    "h_u_cx": Circuit.from_ops(3, [("h", (0,)), ("u", (1,)), ("cx", (0, 1)), ("u", (2,)), ("h", (0,)), ("u", (2,))]),
+    "empty": Circuit(2, ()),
+}
+
+
+@pytest.mark.parametrize("name", _LAYERING_CASES)
+def test_layerize_matches_the_reference(name):
+    c = _LAYERING_CASES[name]
+    assert layerize(c) == layerize_reference(c)
+    assert c.layers == tuple(map(tuple, layerize_reference(c)))
+    assert depth(c) == len(layerize_reference(c))
+
+
+def test_layerize_returns_new_lists_on_every_call():
+    c = random_circuit(5, 30, 3)
+    expected = layerize_reference(c)
+    first = layerize(c)
+    first[0].append(99)
+    first.append([98])
+    assert layerize(c) == expected
+    assert c.layers == tuple(map(tuple, expected))
+    assert layerize(c) is not layerize(c)
+
+
+def test_reading_layers_changes_neither_equality_nor_hash():
+    read, unread = random_circuit(5, 30, 4), random_circuit(5, 30, 4)
+    assert read.layers
+    assert read == unread
+    assert hash(read) == hash(unread)
+
+
+def test_replaced_circuit_gets_its_own_layers():
+    c = Circuit.from_ops(3, [("cx", (0, 1)), ("cx", (1, 2))])
+    assert c.layers == ((0,), (1,))
+    d = dataclasses.replace(c, gates=(Gate("cx", (0, 1)), Gate("h", (2,))))
+    assert d.layers == ((0, 1),)
+    assert c.layers == ((0,), (1,))
+
+
+def test_gate_and_circuit_survive_pickle_deepcopy_and_replace():
+    c = random_circuit(5, 30, 6)
+    assert c.layers
+    for value in (c.gates[0], c):
+        for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), dataclasses.replace(value)):
+            assert clone == value
+    assert pickle.loads(pickle.dumps(c)).layers == c.layers
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.gates[0].name = "h"
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -115,13 +172,20 @@ def test_serialize_parse_roundtrip(seed):
 
 
 def test_circuit_validation():
-    with pytest.raises(ValueError):
-        Circuit.from_ops(2, [("cx", (0, 0))])
-    with pytest.raises(ValueError):
-        Circuit.from_ops(2, [("cx", (0, 2))])
-    with pytest.raises(ValueError):
-        Circuit.from_ops(2, [("h", (0, 1))])
-    with pytest.raises(ValueError):
-        Circuit.from_ops(2, [("tp", (0,))])  # no gate name is reserved for teleport markers
-    with pytest.raises(ValueError):
+    cases = [
+        (2, [("cx", (0, 0))], "gate 0 repeats an operand: (0, 0)"),
+        (2, [("cx", (0, 2))], "gate 0 operand 2 outside 0..1"),
+        (2, [("h", (0,)), ("cx", (1, 2))], "gate 1 operand 2 outside 0..1"),  # the second operand is the bad one
+        (2, [("cx", (-1, 0))], "gate 0 operand -1 outside 0..1"),
+        (2, [("u", (0,)), ("h", (5,))], "gate 1 operand 5 outside 0..1"),
+        (2, [("h", (0, 1))], "gate 'h' takes 1 operand(s), got (0, 1)"),
+        (2, [("cx", (0,))], "gate 'cx' takes 2 operand(s), got (0,)"),
+        (2, [("tp", (0,))], "unknown gate name 'tp'"),  # no gate name is reserved for teleport markers
+    ]
+    for num_qubits, ops, message in cases:
+        with pytest.raises(ValueError) as err:
+            Circuit.from_ops(num_qubits, ops)
+        assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
         Circuit(0, ())
+    assert str(err.value) == "circuit needs at least one qubit"

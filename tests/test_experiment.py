@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import shlex
+import weakref
 from pathlib import Path
 
 import pytest
@@ -522,8 +523,28 @@ def test_cli_reports_attempt_exhaustion_and_keeps_the_csv_prefix(tmp_path, capsy
     assert cli.main([*argv, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: entanglement not heralded within 1 attempts")
-    assert "Traceback" not in err
+    # the key to raise, then the failing row's workload, cr_mode, strategy and seed
+    assert err == (
+        "error: entanglement not heralded within 1 attempts (timing.max_attempts)"
+        " in the run workload=qft32 cr_mode=- strategy=hh seed=1\n"
+    )
     assert (tmp_path / "results.csv").read_text() == ",".join(CSV_COLUMNS) + "\n"
+
+
+def test_no_report_outlives_its_row(tmp_path, monkeypatch):
+    """Each run's SimReport is freed once its row is written, so the hop log
+    of one run is never alive while the next run builds its own."""
+    engine_run, finished = experiment.run, []
+
+    def run(circuit, cfg):
+        assert [ref() for ref in finished] == [None] * len(finished)
+        report = engine_run(circuit, cfg)
+        finished.append(weakref.ref(report))
+        return report
+
+    monkeypatch.setattr(experiment, "run", run)
+    run_experiment(merge_config({"workload": "qft", "qft.qubits": "8", "sweep.seeds": "1,2"}), str(tmp_path))
+    assert len(finished) == 4
 
 
 def test_cli_plotdata(tmp_path):
@@ -552,7 +573,7 @@ def test_partial_rows_are_flushed_before_a_failing_point_exits(tmp_path):
             "sweep.seeds": f"{good},{bad}",
         }
     )
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ProtocolError, match=f"workload=one_hop cr_mode=- strategy=hh seed={bad}$"):
         run_experiment(config, str(tmp_path), "partial")
     rows = _read_rows(tmp_path / "partial.csv")
     assert len(rows) == 1
