@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right, insort
+from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import starmap
+from operator import itemgetter
 
 # depth stays bound here although run no longer calls it: perfbench/tracing.py
 # wraps engine.depth by name.
@@ -72,7 +74,7 @@ class HopRecord:
     finish: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestRecord:
     gate_id: int
     src_core: int
@@ -88,6 +90,57 @@ class RequestRecord:
         return self.arrival - self.issue
 
 
+class _Records(Sequence):
+    """Read-only sequence of records, built from the engine's rows on first read.
+
+    The engine logs one plain tuple per hop or request, in the record's field
+    order. Nothing builds a record until a caller reads one; then all are
+    built at once and the rows are dropped. The view compares, hashes, adds,
+    pickles and copies as the tuple of its records.
+    """
+
+    __slots__ = ("_cls", "_items")
+
+    def __init__(self, cls, rows):
+        self._cls = cls  # None once _items holds the records
+        self._items = rows
+
+    def _records(self) -> tuple:
+        if self._cls is not None:
+            self._items = tuple(starmap(self._cls, self._items))
+            self._cls = None
+        return self._items
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, index):
+        return self._records()[index]
+
+    def __iter__(self):
+        return iter(self._records())
+
+    def __eq__(self, other):
+        if isinstance(other, _Records):
+            other = other._records()
+        return self._records() == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._records())
+
+    def __add__(self, other):
+        return self._records() + other
+
+    def __radd__(self, other):
+        return other + self._records()
+
+    def __repr__(self):
+        return repr(self._records())
+
+    def __reduce__(self):
+        return tuple, (self._records(),)
+
+
 @dataclass(frozen=True)
 class SimReport:
     total_delay: float
@@ -98,8 +151,8 @@ class SimReport:
     inter_core_requests: int
     congestion_events: int
     max_core_occupancy: int
-    requests: tuple[RequestRecord, ...]
-    hops: tuple[HopRecord, ...]
+    requests: Sequence[RequestRecord]  # built on first read; tuple(...) gives a plain tuple
+    hops: Sequence[HopRecord]
     final_placement: tuple[int, ...]  # qubit -> core after the last layer
 
 
@@ -160,10 +213,10 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
     comm_critical = 0.0
     congestion_events = 0
     max_occupancy = placement.max_occupancy()
-    request_records: list[RequestRecord] = []
-    hop_records: list[HopRecord] = []
+    request_rows: list[tuple] = []  # RequestRecord fields, one tuple per request
+    hop_rows: list[tuple] = []  # HopRecord fields, one tuple per hop
     level = [0] * circuit.num_qubits  # expanded-circuit depth reached by each qubit
-    relocation_order = attrgetter("finish", "gate_id", "chain", "hop_index")  # qubits move as their hops finish
+    relocation_order = itemgetter(9, 0, 1, 2)  # (finish, gate_id, chain, hop_index): qubits move as their hops finish
 
     for layer in layers:
         has_local = False  # a gate that needs no teleport finishes at now + t_gate
@@ -200,12 +253,13 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
             requests.append((gate_id, src_core, dst_core, distance, comm_plan.rounds, request_chains))
 
         layer_end = now + t_gate if has_local else now  # t_gate >= 0, so this is max(now, now + t_gate)
-        layer_hops = len(hop_records)
-        _drain_hops(cfg, chains, now, hop_records)
-        for hop in sorted(hop_records[layer_hops:], key=relocation_order):
-            if relocate(hop.qubit, hop.dst_core):
+        layer_hops = len(hop_rows)
+        _drain_hops(cfg, chains, now, hop_rows)
+        for hop in sorted(hop_rows[layer_hops:], key=relocation_order):
+            dst_core = hop[6]
+            if relocate(hop[3], dst_core):  # qubit
                 congestion_events += 1
-            occupancy = occupancy_of(hop.dst_core)
+            occupancy = occupancy_of(dst_core)
             if occupancy > max_occupancy:
                 max_occupancy = occupancy
 
@@ -213,10 +267,10 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
         for gate_id, src_core, dst_core, distance, rounds, request_chains in requests:
             arrival = max(chain.finish for chain in request_chains)
             attempts = sum(chain.attempts for chain in request_chains)
-            record = RequestRecord(gate_id, src_core, dst_core, distance, rounds, attempts, now, arrival)
-            request_records.append(record)
-            comm_sum += record.latency
-            layer_latency = max(layer_latency, record.latency)
+            request_rows.append((gate_id, src_core, dst_core, distance, rounds, attempts, now, arrival))
+            latency = arrival - now  # RequestRecord.latency
+            comm_sum += latency
+            layer_latency = max(layer_latency, latency)
             layer_end = max(layer_end, arrival + t_gate)
 
         comm_critical += layer_latency
@@ -228,17 +282,17 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
         comm_delay_critical=comm_critical,
         original_depth=len(layers),
         expanded_depth=max(level),
-        inter_core_requests=len(request_records),
+        inter_core_requests=len(request_rows),
         congestion_events=congestion_events,
         max_core_occupancy=max_occupancy,
-        requests=tuple(request_records),
-        hops=tuple(hop_records),
+        requests=_Records(RequestRecord, request_rows),
+        hops=_Records(HopRecord, hop_rows),
         final_placement=tuple(placement.core_of(q) for q in range(circuit.num_qubits)),
     )
 
 
-def _drain_hops(cfg, chains, layer_start, hop_records):
-    """Grant every hop of the layer's chains, appending one HopRecord each."""
+def _drain_hops(cfg, chains, layer_start, hop_rows):
+    """Grant every hop of the layer's chains, appending one row of HopRecord fields each."""
     topo, timing = cfg.topology, cfg.timing
     resources = _Resources(topo.num_cores, cfg.m_per_core)
     link_busy_until = resources.link_busy_until
@@ -250,7 +304,7 @@ def _drain_hops(cfg, chains, layer_start, hop_records):
     tail = timing.t_meas + timing.t_classical + timing.t_correct
     pipelined = cfg.pipeline_hops
     heappush, heappop = heapq.heappush, heapq.heappop
-    add_hop = hop_records.append
+    add_hop = hop_rows.append
 
     # One entry per chain. A pipelined chain's next hop is ready at the layer
     # start, so it pops before every other chain's pending entry, the order
@@ -279,7 +333,7 @@ def _drain_hops(cfg, chains, layer_start, hop_records):
             finish = epr_done
         finish += tail
         grant(link, src, dst, start, finish)
-        add_hop(HopRecord(gate_id, chain_idx, hop_idx, chain.qubit, link, src, dst, attempts, start, finish))
+        add_hop((gate_id, chain_idx, hop_idx, chain.qubit, link, src, dst, attempts, start, finish))
         chain.position = dst
         chain.finish = finish
         chain.attempts += attempts

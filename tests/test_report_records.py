@@ -1,0 +1,146 @@
+"""SimReport.hops and SimReport.requests: read-only record sequences that the
+engine fills with plain rows and turns into records on first read."""
+
+import copy
+import dataclasses
+import hashlib
+import pickle
+
+import pytest
+
+from qnocsim import engine
+from qnocsim.benchgen import CrMode, SynthSpec, gen_synthetic
+from qnocsim.circuit import Circuit
+from qnocsim.engine import HopRecord, RequestRecord, SimConfig, audit_resources, run
+from qnocsim.protocol import TimingConfig
+from qnocsim.topology import MeshTopology
+
+MESH = MeshTopology(4, 4)
+CIRCUIT = gen_synthetic(SynthSpec(target_depth=5, requests_per_layer=3, cr_mode=CrMode("random", 6), seed=8), MESH, 8)
+LOSSY = SimConfig(topology=MESH, n_per_core=8, m_per_core=2, timing=TimingConfig(p_bsm=0.5), strategy="twt", seed=8)
+CONTENDED = dataclasses.replace(LOSSY, m_per_core=1, strategy="hh", pipeline_hops=True)
+
+# sha256 of repr([astuple(record) ...]) for the eagerly built hop and request
+# tuples that run returned before records were built lazily.
+EAGER_LOGS = {
+    "twt lossy": (LOSSY, 48, 15, "988880d2bbc51044a35dacbbacadc9bcc03c2f6989fd01c8a04170267c666034",
+                  "835c2b7e866747a0ae845e382736e0d4033a8abad9fa3bc57d9ae5c25940f0b5"),
+    "hh contended pipelined": (CONTENDED, 44, 15, "5bbfc25d31b1986a71590a1079597cfedcaac2ef3a6636fd3ed48a9ae5e66017",
+                               "e51cf2418c81e20165de8e106c29130270cf425a5af12acd996cab8d46986ff2"),
+}
+
+
+def log_digest(records) -> str:
+    return hashlib.sha256(repr([dataclasses.astuple(record) for record in records]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(EAGER_LOGS))
+def test_records_iterate_in_the_eager_order(name):
+    cfg, hops, requests, hop_digest, request_digest = EAGER_LOGS[name]
+    report = run(CIRCUIT, cfg)
+    assert (len(report.hops), len(report.requests)) == (hops, requests)
+    assert log_digest(report.hops) == hop_digest
+    assert log_digest(report.requests) == request_digest
+    assert list(report.hops) == [report.hops[i] for i in range(hops)]
+
+
+def test_len_is_the_same_before_and_after_the_first_read():
+    report = run(CIRCUIT, LOSSY)
+    assert len(report.hops) == 48 and len(report.requests) == report.inter_core_requests == 15
+    assert all(type(hop) is HopRecord for hop in report.hops)
+    assert all(type(request) is RequestRecord for request in report.requests)
+    assert len(report.hops) == 48 and len(report.requests) == 15
+
+
+def test_indexing_and_slicing_read_the_records():
+    report = run(CIRCUIT, LOSSY)
+    hops = tuple(report.hops)
+    assert report.hops[0] == hops[0] and report.hops[-1] == hops[-1]
+    assert report.hops[0].link == (2, 3) and report.hops[0].attempts == 2
+    assert report.hops[2:7] == hops[2:7] and type(report.hops[2:7]) is tuple
+    assert report.requests[-1] == tuple(report.requests)[-1]
+    with pytest.raises(IndexError):
+        report.hops[len(hops)]
+
+
+def test_views_compare_and_hash_like_tuples():
+    report, again = run(CIRCUIT, LOSSY), run(CIRCUIT, LOSSY)
+    assert report.hops == tuple(again.hops) and tuple(again.hops) == report.hops
+    assert report.requests == tuple(again.requests) and tuple(again.requests) == report.requests
+    assert report.hops == again.hops and not report.hops != again.hops
+    assert report.hops != report.hops[1:] and report.hops[1:] != report.hops
+    assert report.hops != list(report.hops)
+    assert hash(report) == hash(again) == hash(run(CIRCUIT, LOSSY))
+    assert hash(report.hops) == hash(tuple(report.hops))
+    assert report == again and report != run(CIRCUIT, CONTENDED)
+
+
+def test_views_concatenate_with_tuples():
+    report = run(CIRCUIT, LOSSY)
+    first = report.hops[0]
+    assert report.hops + (first,) == tuple(report.hops) + (first,)
+    assert (first,) + report.hops == (first,) + tuple(report.hops)
+    assert type(report.hops + ()) is tuple and type(() + report.hops) is tuple
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+@pytest.mark.parametrize(
+    "round_trip",
+    [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy, copy.copy, dataclasses.replace],
+    ids=["pickle", "deepcopy", "copy", "replace"],
+)
+def test_reports_round_trip(round_trip, read_first):
+    report = run(CIRCUIT, LOSSY)
+    if read_first:
+        assert report.hops[0].gate_id == 0 and report.requests[0].latency > 0
+    copied = round_trip(report)
+    assert copied == report == run(CIRCUIT, LOSSY)
+    assert hash(copied) == hash(report)
+    assert len(copied.hops) == 48 and copied.hops[-1] == report.hops[-1]
+    assert [r.latency for r in copied.requests] == [r.arrival - r.issue for r in report.requests]
+    assert copy.deepcopy(report.requests[0]) == pickle.loads(pickle.dumps(report.requests[0]))
+
+
+def test_request_records_are_slotted():
+    record = run(CIRCUIT, LOSSY).requests[0]
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.arrival = 0.0
+    assert dataclasses.replace(record, arrival=record.issue + 3.0).latency == 3.0
+
+
+def test_a_clashing_hop_appended_to_a_report_fails_the_audit():
+    cfg = SimConfig(topology=MeshTopology(4, 1), n_per_core=1, m_per_core=2)
+    report = run(Circuit.from_ops(4, [("cx", (0, 3)), ("cx", (1, 2))]), cfg)
+    assert audit_resources(report, cfg) == []
+    first = report.hops[0]
+    clash = dataclasses.replace(first, gate_id=first.gate_id + 100)  # same link, same interval
+    assert audit_resources(dataclasses.replace(report, hops=report.hops + (clash,)), cfg)
+
+
+def test_run_builds_records_only_when_they_are_read(monkeypatch):
+    built = {"hops": 0, "requests": 0}
+
+    def counting(record_cls, key):
+        class Counting(record_cls):
+            __slots__ = ()
+
+            def __new__(cls, *fields):
+                built[key] += 1
+                return super().__new__(cls)
+
+        return Counting
+
+    monkeypatch.setattr(engine, "HopRecord", counting(HopRecord, "hops"))
+    monkeypatch.setattr(engine, "RequestRecord", counting(RequestRecord, "requests"))
+    report = run(CIRCUIT, LOSSY)
+    copied = dataclasses.replace(report)
+    assert len(report.hops) == 48 and len(report.requests) == 15 and report.inter_core_requests == 15
+    assert built == {"hops": 0, "requests": 0}
+    assert report.hops[0] is report.hops[0]
+    assert built == {"hops": 48, "requests": 0}
+    assert copied.hops[-1] is report.hops[-1]  # replace shares the view
+    assert [r.latency for r in report.requests] == [r.arrival - r.issue for r in report.requests]
+    assert built == {"hops": 48, "requests": 15}
+    assert report == copied and len(list(report.hops)) == 48 and len(list(report.requests)) == 15
+    assert built == {"hops": 48, "requests": 15}
