@@ -38,10 +38,6 @@ class Gate:
     name: str
     qubits: tuple[int, ...]
 
-    @property
-    def is_two_qubit(self) -> bool:
-        return _ARITY[self.name] == 2
-
 
 @dataclass(frozen=True)
 class Circuit:

@@ -12,6 +12,8 @@ Every hop occupies its BSM link and one communication qubit at each endpoint
 core for its full duration. Contended resources are granted FIFO by the time
 a hop becomes ready, ties broken by gate id, then chain, then hop index,
 which makes every run a deterministic function of circuit and configuration.
+A request's attempts are the sum of its hops' attempts, and its arrival is
+the latest finish among its hops.
 
 With pipeline_hops enabled, entanglement for later hops of a chain may be
 generated while earlier hops are still in flight (resources permitting); the
@@ -156,43 +158,6 @@ class SimReport:
     final_placement: tuple[int, ...]  # qubit -> core after the last layer
 
 
-class _Resources:
-    """Busy tracking for BSM links and per-core communication qubits."""
-
-    def __init__(self, num_cores: int, m_per_core: int):
-        self.link_busy_until: dict[tuple[int, int], float] = {}
-        self.core_releases: list[list[float]] = [[] for _ in range(num_cores)]
-        self.m = m_per_core
-
-    def comm_free_at(self, core: int, t: float) -> float:
-        """Earliest time >= t when the core has a free communication qubit."""
-        releases = self.core_releases[core]  # sorted; those after t are still held
-        if len(releases) - bisect_right(releases, t) < self.m:
-            return t
-        return releases[-self.m]
-
-    def grant(self, link: tuple[int, int], a: int, b: int, start: float, finish: float):
-        self.link_busy_until[link] = finish
-        insort(self.core_releases[a], finish)
-        insort(self.core_releases[b], finish)
-
-
-class _Chain:
-    """One qubit's hop sequence within a request."""
-
-    __slots__ = ("gate_id", "index", "qubit", "hops", "position", "finish", "rng", "attempts")
-
-    def __init__(self, gate_id, index, qubit, start_core, hops, start_time, rng):
-        self.gate_id = gate_id
-        self.index = index
-        self.qubit = qubit
-        self.hops = hops
-        self.position = start_core
-        self.finish = start_time  # data qubit available at current position
-        self.rng = rng
-        self.attempts = 0
-
-
 def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
     """Simulate a circuit; deterministic per (circuit, cfg).
 
@@ -220,8 +185,8 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
 
     for layer in layers:
         has_local = False  # a gate that needs no teleport finishes at now + t_gate
-        chains: list[_Chain] = []
-        requests = []  # (gate_id, src_core, dst_core, distance, rounds, chains), until the record is built
+        pending = []  # one _drain_hops heap entry per hop chain
+        requests = []  # (gate_id, src_core, dst_core, distance, rounds), until the record is built
         for gate_id in layer:
             qubits = gates[gate_id].qubits
             if len(qubits) == 1:  # Circuit has checked every gate's arity
@@ -240,22 +205,25 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
             level[q_src] += len(comm_plan.src_hops)
             level[q_dst] += len(comm_plan.dst_hops)
             level[q_src] = level[q_dst] = max(level[q_src], level[q_dst]) + 1
-            request_chains = []
-            for chain_idx, (qubit, start_core, hops) in enumerate(
+            for chain_idx, (qubit, start_core, route) in enumerate(
                 [(q_src, src_core, comm_plan.src_hops), (q_dst, dst_core, comm_plan.dst_hops)]
             ):
-                if not hops:
-                    continue
-                rng = request_stream(cfg.seed, gate_id, chain_idx) if draws else None
-                request_chains.append(_Chain(gate_id, chain_idx, qubit, start_core, hops, now, rng))
-            chains += request_chains
+                if route:
+                    rng = request_stream(cfg.seed, gate_id, chain_idx) if draws else None
+                    pending.append((now, gate_id, chain_idx, 0, qubit, start_core, now, route, rng))
             distance = topo.hop_distance(src_core, dst_core)
-            requests.append((gate_id, src_core, dst_core, distance, comm_plan.rounds, request_chains))
+            requests.append((gate_id, src_core, dst_core, distance, comm_plan.rounds))
 
         layer_end = now + t_gate if has_local else now  # t_gate >= 0, so this is max(now, now + t_gate)
         layer_hops = len(hop_rows)
-        _drain_hops(cfg, chains, now, hop_rows)
+        _drain_hops(cfg, pending, hop_rows)
+        # The rows come in finish order, so a request's last finish written is its arrival.
+        attempts: dict[int, int] = {}
+        arrival: dict[int, float] = {}
         for hop in sorted(hop_rows[layer_hops:], key=relocation_order):
+            gate_id = hop[0]
+            attempts[gate_id] = attempts.get(gate_id, 0) + hop[7]
+            arrival[gate_id] = hop[9]
             dst_core = hop[6]
             if relocate(hop[3], dst_core):  # qubit
                 congestion_events += 1
@@ -264,14 +232,13 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
                 max_occupancy = occupancy
 
         layer_latency = 0.0
-        for gate_id, src_core, dst_core, distance, rounds, request_chains in requests:
-            arrival = max(chain.finish for chain in request_chains)
-            attempts = sum(chain.attempts for chain in request_chains)
-            request_rows.append((gate_id, src_core, dst_core, distance, rounds, attempts, now, arrival))
-            latency = arrival - now  # RequestRecord.latency
+        for request in requests:
+            gate_id = request[0]
+            request_rows.append((*request, attempts[gate_id], now, arrival[gate_id]))
+            latency = arrival[gate_id] - now  # RequestRecord.latency
             comm_sum += latency
             layer_latency = max(layer_latency, latency)
-            layer_end = max(layer_end, arrival + t_gate)
+            layer_end = max(layer_end, arrival[gate_id] + t_gate)
 
         comm_critical += layer_latency
         now = layer_end
@@ -291,13 +258,19 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
     )
 
 
-def _drain_hops(cfg, chains, layer_start, hop_rows):
-    """Grant every hop of the layer's chains, appending one row of HopRecord fields each."""
+def _drain_hops(cfg, pending, hop_rows):
+    """Grant every hop of the layer's chains, appending one row of HopRecord fields each.
+
+    pending holds one heap entry per chain, for its next hop:
+    (ready, gate_id, chain, hop_index, qubit, core, data_at, route, rng).
+    The qubit's data is at core from data_at on, and route lists the core
+    each hop of the chain goes to. The first four fields are unique, so heap
+    comparison never reaches route or rng.
+    """
     topo, timing = cfg.topology, cfg.timing
-    resources = _Resources(topo.num_cores, cfg.m_per_core)
-    link_busy_until = resources.link_busy_until
-    comm_free_at = resources.comm_free_at
-    grant = resources.grant
+    m = cfg.m_per_core
+    link_busy_until: dict[tuple[int, int], float] = {}  # link -> finish of its last grant
+    core_releases: list[list[float]] = [[] for _ in range(topo.num_cores)]  # sorted; those after t are held at t
     link_between = topo.bsm_link_between
     attempts_of = entanglement_attempts
     p_bsm, t_epr, max_attempts = timing.p_bsm, timing.t_epr, timing.max_attempts
@@ -306,39 +279,40 @@ def _drain_hops(cfg, chains, layer_start, hop_rows):
     heappush, heappop = heapq.heappush, heapq.heappop
     add_hop = hop_rows.append
 
-    # One entry per chain. A pipelined chain's next hop is ready at the layer
-    # start, so it pops before every other chain's pending entry, the order
-    # that queueing all its hops up front would give.
-    pending = [(layer_start, chain.gate_id, chain.index, 0, chain) for chain in chains]
+    # Every entry starts ready at the layer start. A pipelined chain's next
+    # hop stays ready then, so it pops before every other chain's pending
+    # entry, the order that queueing all its hops up front would give.
     heapq.heapify(pending)
 
     # Same arithmetic as max(), written out; TimingConfig rejects NaN, on
     # which the two would differ.
     while pending:
-        ready, gate_id, chain_idx, hop_idx, chain = heappop(pending)
-        src = chain.position
-        dst = chain.hops[hop_idx]
+        ready, gate_id, chain_idx, hop_idx, qubit, src, data_at, route, rng = heappop(pending)
+        dst = route[hop_idx]
         link = link_between(src, dst)  # the topology's shared tuple; a new (min, max) per hop costs peak RSS
-        base = link_busy_until.get(link, 0.0)
-        if ready > base:
-            base = ready
-        start = comm_free_at(src, base)  # never earlier than base
-        dst_free = comm_free_at(dst, base)
-        if dst_free > start:
-            start = dst_free
-        attempts = attempts_of(p_bsm, chain.rng, max_attempts)
+        start = link_busy_until.get(link, 0.0)
+        if ready > start:
+            start = ready
+        # Each end core needs a free communication qubit. While m are held
+        # past start, the m-th latest release is later than start: wait for it.
+        src_releases, dst_releases = core_releases[src], core_releases[dst]
+        if len(src_releases) - bisect_right(src_releases, start) >= m:
+            start = src_releases[-m]
+        if len(dst_releases) - bisect_right(dst_releases, start) >= m:
+            start = dst_releases[-m]
+        attempts = attempts_of(p_bsm, rng, max_attempts)
         epr_done = start + attempts * t_epr
-        finish = chain.finish
+        finish = data_at
         if epr_done > finish:
             finish = epr_done
         finish += tail
-        grant(link, src, dst, start, finish)
-        add_hop((gate_id, chain_idx, hop_idx, chain.qubit, link, src, dst, attempts, start, finish))
-        chain.position = dst
-        chain.finish = finish
-        chain.attempts += attempts
-        if hop_idx + 1 < len(chain.hops):
-            heappush(pending, (layer_start if pipelined else finish, gate_id, chain_idx, hop_idx + 1, chain))
+        link_busy_until[link] = finish
+        insort(src_releases, finish)
+        insort(dst_releases, finish)
+        add_hop((gate_id, chain_idx, hop_idx, qubit, link, src, dst, attempts, start, finish))
+        if hop_idx + 1 < len(route):
+            next_ready = ready if pipelined else finish
+            heappush(pending, (next_ready, gate_id, chain_idx, hop_idx + 1, qubit, dst, finish, route, rng))
 
 
 def audit_resources(report: SimReport, cfg: SimConfig) -> list[str]:

@@ -55,7 +55,7 @@ def expanded_by_program_order(circuit: Circuit, hops) -> Circuit:
 
 
 def two_qubit_count(circuit: Circuit) -> int:
-    return sum(1 for g in circuit.gates if g.is_two_qubit)
+    return sum(1 for g in circuit.gates if len(g.qubits) == 2)
 
 
 def phase_finish(timing: TimingConfig, start: float, attempts: int) -> float:

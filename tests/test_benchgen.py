@@ -151,7 +151,7 @@ def test_qft_two_qubit_count(n, expected):
 
 def test_qft_covers_every_unordered_pair_once():
     n = 8
-    pairs = [frozenset(g.qubits) for g in gen_qft(n).gates if g.is_two_qubit]
+    pairs = [frozenset(g.qubits) for g in gen_qft(n).gates if len(g.qubits) == 2]
     assert len(pairs) == len(set(pairs))
     assert set(pairs) == {frozenset((i, j)) for i in range(n) for j in range(i + 1, n)}
 

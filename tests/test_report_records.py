@@ -34,6 +34,32 @@ def log_digest(records) -> str:
     return hashlib.sha256(repr([dataclasses.astuple(record) for record in records]).encode()).hexdigest()
 
 
+CONTENDED_CIRCUIT = gen_synthetic(
+    SynthSpec(target_depth=5, requests_per_layer=6, cr_mode=CrMode("random", 6), seed=8), MESH, 8
+)
+
+
+@pytest.mark.parametrize("pipeline_hops", [False, True], ids=["sequential", "pipelined"])
+@pytest.mark.parametrize("p_bsm", [1.0, 0.5])
+@pytest.mark.parametrize("m_per_core", [1, 2])
+@pytest.mark.parametrize("strategy", ["hh", "twt"])
+def test_request_records_agree_with_the_hop_log(strategy, m_per_core, p_bsm, pipeline_hops):
+    cfg = SimConfig(topology=MESH, n_per_core=8, m_per_core=m_per_core, timing=TimingConfig(p_bsm=p_bsm),
+                    strategy=strategy, seed=8, pipeline_hops=pipeline_hops)
+    report = run(CONTENDED_CIRCUIT, cfg)
+    hops_of: dict[int, list[HopRecord]] = {}
+    for hop in report.hops:
+        hops_of.setdefault(hop.gate_id, []).append(hop)
+    assert sorted(hops_of) == sorted(request.gate_id for request in report.requests)
+    issue = {request.gate_id: request.issue for request in report.requests}
+    assert any(hop.hop_index == 0 and hop.start > issue[hop.gate_id] for hop in report.hops)  # contended
+    for request in report.requests:
+        hops = hops_of[request.gate_id]
+        assert request.attempts == sum(hop.attempts for hop in hops)
+        assert request.arrival == max(hop.finish for hop in hops)
+        assert request.issue <= min(hop.start for hop in hops)
+
+
 @pytest.mark.parametrize("name", sorted(EAGER_LOGS))
 def test_records_iterate_in_the_eager_order(name):
     cfg, hops, requests, hop_digest, request_digest = EAGER_LOGS[name]
