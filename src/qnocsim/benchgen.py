@@ -11,11 +11,11 @@ All generators are pure functions of their arguments, including the seed.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 
 from .circuit import Circuit
+from .protocol import derived_rng
 from .strategy import plan_twt
 from .topology import MeshTopology
 
@@ -94,7 +94,7 @@ def gen_synthetic(spec: SynthSpec, topology: MeshTopology, qubits_per_core: int)
 
     last_error = "no feasible qubit pairing"
     for attempt in range(_BUILD_ATTEMPTS):
-        rng = _derived_rng(spec.seed, attempt)
+        rng = derived_rng(f"synth:{spec.seed}:{attempt}")
         try:
             ops = _build_synthetic(spec, topology, qubits_per_core, rng)
         except _BuildFailed as failed:
@@ -170,11 +170,6 @@ def _has_partner(topology, core, cr_mode, free):
     radii = [cr_mode.radius] if cr_mode.kind == "fixed" else range(1, cr_mode.radius + 1)
     # Radii start at 1, so a ring never holds the core itself.
     return any(free[other] > 0 for radius in radii for other in topology.ring(core, radius))
-
-
-def _derived_rng(seed: int, attempt: int) -> random.Random:
-    digest = hashlib.sha256(f"synth:{seed}:{attempt}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
 
 
 def gen_qft(n: int) -> Circuit:

@@ -12,6 +12,9 @@ Every hop occupies its BSM link and one communication qubit at each endpoint
 core for its full duration. Contended resources are granted FIFO by the time
 a hop becomes ready, ties broken by gate id, then chain, then hop index,
 which makes every run a deterministic function of circuit and configuration.
+A link, and each of a core's m communication qubits, is free from the finish
+of the last hop granted it; a hop takes the earliest-free qubit at each end.
+The idle gap before a grant's start is never backfilled by a later grant.
 A request's attempts are the sum of its hops' attempts, and its arrival is
 the latest finish among its hops.
 
@@ -28,7 +31,6 @@ qubit's hops and gates complete.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right, insort
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import starmap
@@ -268,15 +270,13 @@ def _drain_hops(cfg, pending, hop_rows):
     comparison never reaches route or rng.
     """
     topo, timing = cfg.topology, cfg.timing
-    m = cfg.m_per_core
     link_busy_until: dict[tuple[int, int], float] = {}  # link -> finish of its last grant
-    core_releases: list[list[float]] = [[] for _ in range(topo.num_cores)]  # sorted; those after t are held at t
+    comm_free_at = [[0.0] * cfg.m_per_core for _ in range(topo.num_cores)]  # per core, min-heap of qubit free times
     link_between = topo.bsm_link_between
     attempts_of = entanglement_attempts
-    p_bsm, t_epr, max_attempts = timing.p_bsm, timing.t_epr, timing.max_attempts
-    tail = timing.t_meas + timing.t_classical + timing.t_correct
+    t_epr, tail = timing.t_epr, timing.t_meas + timing.t_classical + timing.t_correct
     pipelined = cfg.pipeline_hops
-    heappush, heappop = heapq.heappush, heapq.heappop
+    heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
     add_hop = hop_rows.append
 
     # Every entry starts ready at the layer start. A pipelined chain's next
@@ -293,22 +293,21 @@ def _drain_hops(cfg, pending, hop_rows):
         start = link_busy_until.get(link, 0.0)
         if ready > start:
             start = ready
-        # Each end core needs a free communication qubit. While m are held
-        # past start, the m-th latest release is later than start: wait for it.
-        src_releases, dst_releases = core_releases[src], core_releases[dst]
-        if len(src_releases) - bisect_right(src_releases, start) >= m:
-            start = src_releases[-m]
-        if len(dst_releases) - bisect_right(dst_releases, start) >= m:
-            start = dst_releases[-m]
-        attempts = attempts_of(p_bsm, rng, max_attempts)
+        # Each end core needs a free communication qubit: wait for its earliest.
+        src_free, dst_free = comm_free_at[src], comm_free_at[dst]
+        if src_free[0] > start:
+            start = src_free[0]
+        if dst_free[0] > start:
+            start = dst_free[0]
+        attempts = attempts_of(timing, rng)
         epr_done = start + attempts * t_epr
         finish = data_at
         if epr_done > finish:
             finish = epr_done
         finish += tail
         link_busy_until[link] = finish
-        insort(src_releases, finish)
-        insort(dst_releases, finish)
+        heapreplace(src_free, finish)  # finish >= start >= the replaced free time
+        heapreplace(dst_free, finish)
         add_hop((gate_id, chain_idx, hop_idx, qubit, link, src, dst, attempts, start, finish))
         if hop_idx + 1 < len(route):
             next_ready = ready if pipelined else finish

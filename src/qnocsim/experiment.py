@@ -514,8 +514,9 @@ def emit_plot_data(csv_path: str, out_dir: str) -> list[str]:
     benchmark_depth.csv   : original / hh / twt depth bars per benchmark.
     """
     rows = read_rows(csv_path)
-    synthetic = [r for r in rows if r["workload"].startswith("synthetic")]
-    benches = [r for r in rows if not r["workload"].startswith("synthetic")]
+    # Only synthetic sweeps carry a radius mode; every other row's cr_mode is "-".
+    synthetic = [r for r in rows if r["cr_mode"] != "-"]
+    benches = [r for r in rows if r["cr_mode"] == "-"]
     delay_vs_requests = _means(
         ((r["workload"], r["strategy"], r["cr_mode"], r["num_requests"]), r["comm_delay_critical"]) for r in synthetic
     )

@@ -12,8 +12,9 @@ A hop between adjacent cores breaks down into four timed phases:
      classical NoC (t_classical);
   4. conditional correction at the destination (t_correct).
 
-This module holds the durations and draws the attempt counts;
-engine._drain_hops applies them. A hop granted at start finishes at
+This module holds the durations, which TimingConfig checks once, and draws
+the attempt counts from them; engine._drain_hops applies them. A hop granted
+at start finishes at
 
   finish = max(start + attempts·t_epr, data arrival) + t_meas + t_classical + t_correct
 
@@ -57,14 +58,13 @@ class TimingConfig:
             raise ValueError("max_attempts must be positive when set")
 
 
-def entanglement_attempts(p_bsm: float, rng: random.Random | None, max_attempts: int | None = None) -> int:
-    """Bernoulli trials up to and including the first heralded success.
+def entanglement_attempts(timing: TimingConfig, rng: random.Random | None) -> int:
+    """Bernoulli trials at timing.p_bsm up to and including the first heralded success.
 
     With p_bsm == 1 no randomness is consumed, so certain-success runs are
     independent of the stream state and rng may be None.
     """
-    if not (0.0 < p_bsm <= 1.0):
-        raise ValueError(f"p_bsm must be in (0, 1], got {p_bsm}")
+    p_bsm, max_attempts = timing.p_bsm, timing.max_attempts
     if p_bsm >= 1.0:
         return 1
     attempts = 1
@@ -81,5 +81,9 @@ def request_stream(seed: int, gate_id: int, chain: int = 0) -> random.Random:
     Derived by hashing, so the values a chain draws never depend on how the
     simulator interleaves events across requests or chains.
     """
-    digest = hashlib.sha256(f"{seed}:{gate_id}:{chain}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    return derived_rng(f"{seed}:{gate_id}:{chain}")
+
+
+def derived_rng(key: str) -> random.Random:
+    """random.Random seeded from the first 8 bytes of sha256(key)."""
+    return random.Random(int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big"))

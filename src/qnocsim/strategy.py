@@ -3,11 +3,13 @@
 Hop-by-hop (``hh``): the source operand teleports one hop at a time along
 the XY route; the gate runs at the destination core.
 
-Two-way (``twt``): both operands teleport toward a meeting core. On a shared
-row or column they converge along that axis, meeting at the core closer to
-the destination when the distance is odd. For diagonal placements the source
-moves only along x, the destination only along y, and they meet at the
-corner (x of destination, y of source). The gate runs at the meeting core.
+Two-way (``twt``): both operands teleport toward a meeting core on hh's XY
+route, the source walking it forward and the destination backward. On a
+shared row or column they meet ceil(d/2) hops from the source, the core
+closer to the destination when the distance d is odd. For diagonal
+placements the source moves only along x, the destination only along y, and
+they meet at the route's corner (x of destination, y of source). The gate
+runs at the meeting core.
 
 Planners are pure; plans are computed once from current positions and never
 revised mid-flight.
@@ -35,29 +37,16 @@ class CommPlan:
 
 def plan_hh(topology: MeshTopology, src: int, dst: int) -> CommPlan:
     """Source qubit walks the XY route to the destination core."""
-    _check_distinct(src, dst)
     route = topology.xy_route(src, dst)
-    return CommPlan(src_hops=tuple(route[1:]), dst_hops=(), exec_core=dst)
+    return _split(route, len(route) - 1)
 
 
 def plan_twt(topology: MeshTopology, src: int, dst: int) -> CommPlan:
-    """Both qubits converge on a meeting core; see module docstring."""
-    _check_distinct(src, dst)
-    sx, sy = topology.coord_of(src)
-    dx, dy = topology.coord_of(dst)
-    if sy == dy:
-        d = abs(dx - sx)
-        src_steps = (d + 1) // 2
-        meet = topology.core_at(sx + src_steps * _sign(dx - sx), sy)
-    elif sx == dx:
-        d = abs(dy - sy)
-        src_steps = (d + 1) // 2
-        meet = topology.core_at(sx, sy + src_steps * _sign(dy - sy))
-    else:
-        meet = topology.core_at(dx, sy)
-    src_hops = tuple(topology.xy_route(src, meet)[1:])
-    dst_hops = tuple(topology.xy_route(dst, meet)[1:])
-    return CommPlan(src_hops=src_hops, dst_hops=dst_hops, exec_core=meet)
+    """Both qubits converge on a meeting core on the XY route; see module docstring."""
+    route = topology.xy_route(src, dst)
+    (sx, sy), (dx, dy) = topology.coord_of(src), topology.coord_of(dst)
+    # On a diagonal, the route's corner; else ceil(d/2) hops from the source.
+    return _split(route, abs(dx - sx) if sx != dx and sy != dy else len(route) // 2)
 
 
 def plan(strategy: str, topology: MeshTopology, src: int, dst: int) -> CommPlan:
@@ -68,10 +57,8 @@ def plan(strategy: str, topology: MeshTopology, src: int, dst: int) -> CommPlan:
     raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
 
 
-def _check_distinct(src: int, dst: int):
-    if src == dst:
+def _split(route: list[int], meet: int) -> CommPlan:
+    """The source walks route up to index meet; the destination walks back down to it."""
+    if len(route) == 1:
         raise ValueError("operands share a core; no communication plan applies")
-
-
-def _sign(v: int) -> int:
-    return 1 if v > 0 else -1
+    return CommPlan(src_hops=tuple(route[1 : meet + 1]), dst_hops=tuple(reversed(route[meet:-1])), exec_core=route[meet])

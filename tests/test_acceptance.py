@@ -192,7 +192,7 @@ def test_criterion_7_geometric_attempt_statistics():
     cfg = TimingConfig(p_bsm=0.5)
     rng = request_stream(2024, 0, 0)
     hops = 100_000
-    total = sum(entanglement_attempts(cfg.p_bsm, rng, cfg.max_attempts) for _ in range(hops))
+    total = sum(entanglement_attempts(cfg, rng) for _ in range(hops))
     elapsed = time.perf_counter() - started
     mean = total / hops
     assert abs(mean - 2.0) <= 0.04, f"mean attempts {mean:.4f}"

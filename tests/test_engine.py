@@ -219,6 +219,20 @@ def test_contended_comm_qubits_grant_fifo_by_gate_id():
     assert all(r.latency == 2 * HOP for r in relaxed.requests)
 
 
+@pytest.mark.parametrize("strategy", ["hh", "twt"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_a_core_grants_at_most_m_hops_at_once(strategy, m):
+    # four one-hop requests leave the centre core 4 of a 3x3 mesh on its four
+    # links; the k-th waits for k // m earlier hops to release a qubit there
+    c = Circuit.from_ops(36, [("cx", (16, 4)), ("cx", (17, 12)), ("cx", (18, 20)), ("cx", (19, 28))])
+    cfg = cfg_for(strategy, n=4, m=m, mesh=MeshTopology(3, 3))
+    report = run(c, cfg)
+    hops = sorted(report.hops, key=lambda h: h.gate_id)
+    assert [h.link for h in hops] == [(1, 4), (3, 4), (4, 5), (4, 7)]
+    assert [h.start for h in hops] == [HOP * (k // m) for k in range(4)]
+    assert audit_resources(report, cfg) == []
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="a reservation that has not started yet blocks a communication qubit: "

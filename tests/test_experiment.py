@@ -291,6 +291,19 @@ def test_plot_data_files(tmp_path):
     assert {s: depths[s] for s in ("hh", "twt")} == {s: means[s]["expanded_depth_mean"] for s in ("hh", "twt")}
 
 
+def test_plot_data_sorts_rows_by_cr_mode_not_by_label(tmp_path):
+    circuit_file = tmp_path / "synthetic_qft8.qc"
+    circuit_file.write_text(serialize_circuit(gen_qft(8)), encoding="utf-8")
+    csv_path, _ = run_experiment(merge_config({"workload": str(circuit_file)}), str(tmp_path), "named")
+    delay_vs_requests, benchmark_delay, benchmark_depth = emit_plot_data(csv_path, str(tmp_path / "plots"))
+    assert _read_rows(delay_vs_requests) == []
+    assert [(r["benchmark"], r["strategy"]) for r in _read_rows(benchmark_delay)] == [
+        ("synthetic_qft8", "hh"),
+        ("synthetic_qft8", "twt"),
+    ]
+    assert [r["bar"] for r in _read_rows(benchmark_depth)] == ["original", "hh", "twt"]
+
+
 def test_plot_data_rejects_missing_columns(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("workload,strategy\nx,hh\n")

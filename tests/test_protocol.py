@@ -19,27 +19,29 @@ MESH = MeshTopology(4, 4)
 
 def test_certain_success_takes_one_attempt_without_touching_the_stream():
     rng = random.Random(0)
-    assert entanglement_attempts(1.0, rng) == 1
+    assert entanglement_attempts(TimingConfig(p_bsm=1.0), rng) == 1
     assert rng.random() == random.Random(0).random()
 
 
 def test_geometric_mean_attempts_at_half_probability():
     rng = random.Random(123)
+    timing = TimingConfig(p_bsm=0.5)
     n = 100_000
-    mean = sum(entanglement_attempts(0.5, rng) for _ in range(n)) / n
+    mean = sum(entanglement_attempts(timing, rng) for _ in range(n)) / n
     assert mean == pytest.approx(2.0, abs=0.05)
 
 
 def test_attempt_sequence_is_reproducible_per_stream():
-    draws_a = [entanglement_attempts(0.3, request_stream(7, gate_id, 0)) for gate_id in range(20)]
-    draws_b = [entanglement_attempts(0.3, request_stream(7, gate_id, 0)) for gate_id in range(20)]
+    timing = TimingConfig(p_bsm=0.3)
+    draws_a = [entanglement_attempts(timing, request_stream(7, gate_id, 0)) for gate_id in range(20)]
+    draws_b = [entanglement_attempts(timing, request_stream(7, gate_id, 0)) for gate_id in range(20)]
     assert draws_a == draws_b
-    assert draws_a != [entanglement_attempts(0.3, request_stream(8, g, 0)) for g in range(20)]
+    assert draws_a != [entanglement_attempts(timing, request_stream(8, g, 0)) for g in range(20)]
 
 
 def test_invalid_probability_rejected():
     with pytest.raises(ValueError):
-        entanglement_attempts(0.0, random.Random(0))
+        entanglement_attempts(TimingConfig(p_bsm=0.0), random.Random(0))
     with pytest.raises(ValueError):
         TimingConfig(p_bsm=1.5)
     with pytest.raises(ValueError):
@@ -89,9 +91,9 @@ def test_three_attempts_cost_three_epr_rounds(monkeypatch):
 
 def test_attempt_cap_exhaustion(monkeypatch):
     rng = ScriptedRng([0.9, 0.9, 0.9])
-    with pytest.raises(ProtocolError):
-        entanglement_attempts(0.5, rng, max_attempts=2)
     cfg = TimingConfig(p_bsm=0.5, max_attempts=2)
+    with pytest.raises(ProtocolError):
+        entanglement_attempts(cfg, rng)
     monkeypatch.setattr(engine, "request_stream", lambda *args: ScriptedRng([0.9, 0.9, 0.9]))
     with pytest.raises(ProtocolError):
         _one_hop(cfg)

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import xy_route_by_steps
 from qnocsim.placement import PlacementMap
 from qnocsim.strategy import plan, plan_hh, plan_twt
 from qnocsim.topology import MeshTopology
@@ -150,3 +151,26 @@ def test_twt_diagonal_split_moves_source_in_x_and_destination_in_y():
             assert len(p.dst_hops) == abs(dy - sy)
             assert all(MESH.coord_of(h)[1] == sy for h in p.src_hops)
             assert all(MESH.coord_of(h)[0] == dx for h in p.dst_hops)
+
+
+def _twt_by_docstring(mesh, src, dst):
+    """(src_hops, dst_hops, exec_core) as the strategy docstring describes twt."""
+    sx, sy = mesh.coord_of(src)
+    dx, dy = mesh.coord_of(dst)
+    if sx != dx and sy != dy:
+        meet = mesh.core_at(dx, sy)  # the corner: source moves along x, destination along y
+    else:
+        meet = xy_route_by_steps(mesh, src, dst)[(mesh.hop_distance(src, dst) + 1) // 2]
+    return tuple(xy_route_by_steps(mesh, src, meet)[1:]), tuple(xy_route_by_steps(mesh, dst, meet)[1:]), meet
+
+
+@pytest.mark.parametrize("mesh", [MeshTopology(1, 5), MeshTopology(5, 1), MeshTopology(3, 7), MeshTopology(6, 2)])
+def test_plans_match_the_docstring_on_every_pair(mesh):
+    for src in range(mesh.num_cores):
+        for dst in range(mesh.num_cores):
+            if src == dst:
+                continue
+            twt = plan_twt(mesh, src, dst)
+            assert (twt.src_hops, twt.dst_hops, twt.exec_core) == _twt_by_docstring(mesh, src, dst)
+            hh = plan_hh(mesh, src, dst)
+            assert (hh.src_hops, hh.dst_hops, hh.exec_core) == (tuple(xy_route_by_steps(mesh, src, dst)[1:]), (), dst)
