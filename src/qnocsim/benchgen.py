@@ -141,11 +141,10 @@ def _build_synthetic(spec, topology, qubits_per_core, rng):
 
     ops = []
     chains: list[tuple[int, int, int]] = []  # per slot: (qubit, home core, core under two-way)
+    radii = [spec.cr_mode.radius] if spec.cr_mode.kind == "fixed" else range(1, spec.cr_mode.radius + 1)
     for _slot in range(spec.requests_per_layer):
         src_candidates = [
-            c
-            for c in range(topology.num_cores)
-            if free[c] > 0 and _has_partner(topology, c, spec.cr_mode, free)
+            c for c in range(topology.num_cores) if free[c] > 0 and any(cores_at(c, r, None) for r in radii)
         ]
         if not src_candidates:
             raise _BuildFailed("no source core with a reachable partner left")
@@ -164,12 +163,6 @@ def _build_synthetic(spec, topology, qubits_per_core, rng):
             ops.append(("cx", (chain_qubit, dst_qubit)))
             chains[slot] = (dst_qubit, dst_core, plan_twt(topology, twt_core, dst_core).exec_core)
     return ops
-
-
-def _has_partner(topology, core, cr_mode, free):
-    radii = [cr_mode.radius] if cr_mode.kind == "fixed" else range(1, cr_mode.radius + 1)
-    # Radii start at 1, so a ring never holds the core itself.
-    return any(free[other] > 0 for radius in radii for other in topology.ring(core, radius))
 
 
 def gen_qft(n: int) -> Circuit:

@@ -8,16 +8,18 @@ import sys
 from . import experiment
 from .circuit import serialize_circuit
 from .protocol import ProtocolError
+from .strategy import STRATEGIES
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        for path in args.func(args):
+            print(path)
     except (ValueError, OSError, ProtocolError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -25,14 +27,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(required=True)
 
     p = _config_parser(sub, "run", "run an experiment configuration, writing <name>.csv and <name>.json")
-    p.add_argument("--strategy", choices=["hh", "twt", "both"])
+    p.add_argument("--strategy", choices=[*STRATEGIES, "both"])
     p.add_argument("--out", default="results", help="output directory")
     p.add_argument("--name", default="results", help="artifact basename")
-    p.set_defaults(func=_cmd_run)
+    p.set_defaults(func=lambda args: experiment.run_experiment(_config(args), args.out, args.name))
 
     p = sub.add_parser("bundle", help="run the default experiment bundle")
     p.add_argument("--out", default="results", help="output directory")
-    p.set_defaults(func=_cmd_bundle)
+    p.set_defaults(func=lambda args: experiment.run_default_bundle(args.out))
 
     p = _config_parser(sub, "gen", "write the circuit a configuration builds, in the gate-list format")
     p.add_argument("--out", help="output file (default: stdout)")
@@ -41,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plotdata", help="reshape a results CSV into per-figure files")
     p.add_argument("csv", help="results CSV produced by run")
     p.add_argument("--out", default="plotdata", help="output directory")
-    p.set_defaults(func=_cmd_plotdata)
+    p.set_defaults(func=lambda args: experiment.emit_plot_data(args.csv, args.out))
 
     return parser
 
@@ -65,10 +67,12 @@ def _config(args) -> dict[str, str]:
     layers = [experiment.load_config(args.config)] if args.config else []
     flags = {}
     for pair in args.set:
-        key, sep, value = pair.partition("=")
+        key, sep, value = (part.strip() for part in pair.partition("="))
         if not sep:
             raise ValueError(f"--set expects KEY=VALUE, got {pair!r}")
-        flags[key.strip()] = value.strip()
+        if not key or not value:
+            raise ValueError(f"--set {pair!r}: empty key or value")
+        flags[key] = value
     for key, value in (
         ("workload", args.workload),
         ("sweep.seeds", args.seed),  # not sim.seed, which a file's sweep.seeds would override
@@ -82,32 +86,14 @@ def _config(args) -> dict[str, str]:
     return experiment.merge_config(*layers, flags)
 
 
-def _cmd_run(args) -> int:
-    for path in experiment.run_experiment(_config(args), args.out, args.name):
-        print(path)
-    return 0
-
-
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple:
     text = serialize_circuit(experiment.single_circuit(_config(args)))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    return 0
-
-
-def _cmd_bundle(args) -> int:
-    for path in experiment.run_default_bundle(args.out):
-        print(path)
-    return 0
-
-
-def _cmd_plotdata(args) -> int:
-    for path in experiment.emit_plot_data(args.csv, args.out):
-        print(path)
-    return 0
+    return ()
 
 
 if __name__ == "__main__":

@@ -70,12 +70,16 @@ class HopRecord:
     chain: int
     hop_index: int
     qubit: int
-    link: tuple[int, int]
     src_core: int
     dst_core: int
     attempts: int
     start: float
     finish: float
+
+    @property
+    def link(self) -> tuple[int, int]:
+        """The BSM link the hop held: its two cores, lower id first."""
+        return min(self.src_core, self.dst_core), max(self.src_core, self.dst_core)
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,7 +187,7 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
     request_rows: list[tuple] = []  # RequestRecord fields, one tuple per request
     hop_rows: list[tuple] = []  # HopRecord fields, one tuple per hop
     level = [0] * circuit.num_qubits  # expanded-circuit depth reached by each qubit
-    relocation_order = itemgetter(9, 0, 1, 2)  # (finish, gate_id, chain, hop_index): qubits move as their hops finish
+    relocation_order = itemgetter(8, 0, 1, 2)  # (finish, gate_id, chain, hop_index): qubits move as their hops finish
 
     for layer in layers:
         has_local = False  # a gate that needs no teleport finishes at now + t_gate
@@ -224,9 +228,9 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
         arrival: dict[int, float] = {}
         for hop in sorted(hop_rows[layer_hops:], key=relocation_order):
             gate_id = hop[0]
-            attempts[gate_id] = attempts.get(gate_id, 0) + hop[7]
-            arrival[gate_id] = hop[9]
-            dst_core = hop[6]
+            attempts[gate_id] = attempts.get(gate_id, 0) + hop[6]
+            arrival[gate_id] = hop[8]
+            dst_core = hop[5]
             if relocate(hop[3], dst_core):  # qubit
                 congestion_events += 1
             occupancy = occupancy_of(dst_core)
@@ -289,7 +293,7 @@ def _drain_hops(cfg, pending, hop_rows):
     while pending:
         ready, gate_id, chain_idx, hop_idx, qubit, src, data_at, route, rng = heappop(pending)
         dst = route[hop_idx]
-        link = link_between(src, dst)  # the topology's shared tuple; a new (min, max) per hop costs peak RSS
+        link = link_between(src, dst)
         start = link_busy_until.get(link, 0.0)
         if ready > start:
             start = ready
@@ -308,7 +312,7 @@ def _drain_hops(cfg, pending, hop_rows):
         link_busy_until[link] = finish
         heapreplace(src_free, finish)  # finish >= start >= the replaced free time
         heapreplace(dst_free, finish)
-        add_hop((gate_id, chain_idx, hop_idx, qubit, link, src, dst, attempts, start, finish))
+        add_hop((gate_id, chain_idx, hop_idx, qubit, src, dst, attempts, start, finish))
         if hop_idx + 1 < len(route):
             next_ready = ready if pipelined else finish
             heappush(pending, (next_ready, gate_id, chain_idx, hop_idx + 1, qubit, dst, finish, route, rng))

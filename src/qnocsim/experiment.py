@@ -21,6 +21,7 @@ generators; this module only arranges runs and formats rows.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -30,6 +31,7 @@ from .benchgen import CrMode, SynthSpec, gen_cuccaro, gen_mcmt, gen_qft, gen_qua
 from .circuit import Circuit, parse_circuit
 from .engine import SimConfig, SimReport, run
 from .protocol import ProtocolError, TimingConfig
+from .strategy import STRATEGIES
 from .topology import MeshTopology
 
 TEXT_COLUMNS = ("workload", "strategy", "cr_mode")
@@ -214,10 +216,10 @@ class RunPoint:
 def _strategies(config) -> list[str]:
     token = config["sim.strategy"]
     if token == "both":
-        return ["hh", "twt"]
-    if token in ("hh", "twt"):
+        return list(STRATEGIES)
+    if token in STRATEGIES:
         return [token]
-    raise ConfigError(f"sim.strategy: expected hh, twt or both, got {token!r}")
+    raise ConfigError(f"sim.strategy: expected {', '.join(STRATEGIES)} or both, got {token!r}")
 
 
 def _seeds(config) -> list[int]:
@@ -238,7 +240,7 @@ def iter_points(config: dict[str, str]) -> list[RunPoint]:
     base = sim_config_from(config)
     runs = list(_runs(config, base.topology))
     cores = base.topology.num_cores
-    for label, _cr_mode, _seed, circuit in runs:
+    for label, _cr_mode, circuit, _seeds in runs:
         if circuit.num_qubits > cores * base.n_per_core:
             raise ConfigError(
                 f"sim.n_per_core: {label} (workload {config['workload']!r}) has {circuit.num_qubits} qubits,"
@@ -246,28 +248,29 @@ def iter_points(config: dict[str, str]) -> list[RunPoint]:
             )
     return [
         RunPoint(label, cr_mode, circuit, replace(base, strategy=strategy, seed=seed))
-        for label, cr_mode, seed, circuit in runs
+        for label, cr_mode, circuit, seeds in runs
+        for seed in seeds
         for strategy in strategies
     ]
 
 
 def single_circuit(config: dict[str, str]) -> Circuit:
     """The one circuit a configuration builds, as ``qnocsim gen`` writes it."""
-    # A named workload yields the same circuit object once per seed.
-    built = {id(circuit): circuit for *_, circuit in _runs(config, sim_config_from(config).topology)}
-    if len(built) != 1:
-        raise ConfigError(f"gen writes one circuit; the configuration builds {len(built)}")
-    return next(iter(built.values()))
+    circuits = [circuit for _label, _cr_mode, circuit, _seeds in _runs(config, sim_config_from(config).topology)]
+    if len(circuits) != 1:
+        raise ConfigError(f"gen writes one circuit; the configuration builds {len(circuits)}")
+    return circuits[0]
 
 
 def _runs(config, topology: MeshTopology):
-    """Yield (label, cr_mode, seed, circuit) for every circuit a configuration
-    builds; the one place that turns a workload name into circuits.
+    """Yield (label, cr_mode, circuit, seeds) once for every circuit a
+    configuration builds, with the engine seeds it runs under; the one place
+    that turns a workload name into circuits.
 
-    The synthetic workload sweeps sweep.cr x sweep.requests x seeds, and a
-    request count fills synthetic.depth layers evenly, or without a depth
-    one request per layer. Any other workload is one circuit, run once per
-    seed.
+    The synthetic workload sweeps sweep.cr x sweep.requests x seeds, one
+    circuit per seed, and a request count fills synthetic.depth layers
+    evenly, or without a depth one request per layer. Any other workload is
+    one circuit, run once per seed.
     """
     workload = config["workload"]
     seeds = _seeds(config)
@@ -298,8 +301,7 @@ def _runs(config, topology: MeshTopology):
         label = os.path.splitext(os.path.basename(workload))[0]
     else:
         raise ConfigError(f"unknown workload {workload!r} (not a generator name or circuit file)")
-    for seed in seeds:
-        yield label, "-", seed, circuit
+    yield label, "-", circuit, seeds
 
 
 def _synthetic_runs(config, topology: MeshTopology, seeds: list[int]):
@@ -324,7 +326,7 @@ def _synthetic_runs(config, topology: MeshTopology, seeds: list[int]):
                 layers, rpl = depth_k, count // depth_k
             for seed in seeds:
                 spec = SynthSpec(target_depth=layers, requests_per_layer=rpl, cr_mode=cr_mode, seed=seed)
-                yield f"synthetic_d{layers}_rpl{rpl}", str(cr_mode), seed, gen_synthetic(spec, topology, qpc)
+                yield f"synthetic_d{layers}_rpl{rpl}", str(cr_mode), gen_synthetic(spec, topology, qpc), [seed]
 
 
 def _cr_mode(token: str, topology: MeshTopology) -> CrMode:
@@ -378,7 +380,8 @@ def run_experiment(config: dict[str, str], out_dir: str, name: str = "results") 
     json_path = os.path.join(out_dir, f"{name}.json")
 
     with open(csv_path, "w", encoding="utf-8", newline="") as csv_file:
-        csv_file.write(",".join(CSV_COLUMNS) + "\n")
+        writer = csv.writer(csv_file, lineterminator="\n")  # quotes a label that holds a comma
+        writer.writerow(CSV_COLUMNS)
         csv_file.flush()
         for point in points:
             # No name holds the report: the previous run's hop log would stay
@@ -390,7 +393,7 @@ def run_experiment(config: dict[str, str], out_dir: str, name: str = "results") 
                     f"{error} (timing.max_attempts) in the run workload={point.workload}"
                     f" cr_mode={point.cr_mode} strategy={point.cfg.strategy} seed={point.cfg.seed}"
                 ) from error
-            csv_file.write(",".join(_fmt(row[c]) for c in CSV_COLUMNS) + "\n")
+            writer.writerow([_fmt(row[c]) for c in CSV_COLUMNS])
             csv_file.flush()
 
     with open(json_path, "w", encoding="utf-8") as handle:
@@ -402,7 +405,7 @@ def run_experiment(config: dict[str, str], out_dir: str, name: str = "results") 
 def summarize(rows: list[dict]) -> dict:
     """Per-strategy means plus hh-vs-twt reduction percentages over paired rows."""
     summary: dict = {"rows": len(rows), "per_strategy": {}, "reduction_pct": {}}
-    for strategy in ("hh", "twt"):
+    for strategy in STRATEGIES:
         group = [r for r in rows if r["strategy"] == strategy]
         if not group:
             continue
@@ -481,8 +484,6 @@ def run_default_bundle(out_dir: str) -> list[str]:
 def read_rows(csv_path: str) -> list[dict]:
     """A results CSV's rows, with every column but workload, strategy and
     cr_mode as a float; ``summarize`` of them is the run's JSON summary."""
-    import csv
-
     with open(csv_path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
@@ -528,22 +529,22 @@ def emit_plot_data(csv_path: str, out_dir: str) -> list[str]:
         for bar in ("original", r["strategy"])
     )
     tables = {
-        "delay_vs_requests.csv": ["workload,series,num_requests,comm_delay"] + [
-            f"{w},{s} {cr},{_fmt(x)},{_fmt(mean)}" for (w, s, cr, x), mean in sorted(delay_vs_requests.items())
+        "delay_vs_requests.csv": [("workload", "series", "num_requests", "comm_delay")] + [
+            (w, f"{s} {cr}", _fmt(x), _fmt(mean)) for (w, s, cr, x), mean in sorted(delay_vs_requests.items())
         ],
-        "benchmark_delay.csv": ["benchmark,strategy,comm_delay"] + [
-            f"{w},{s},{_fmt(mean)}" for (w, s), mean in sorted(benchmark_delay.items())
+        "benchmark_delay.csv": [("benchmark", "strategy", "comm_delay")] + [
+            (w, s, _fmt(mean)) for (w, s), mean in sorted(benchmark_delay.items())
         ],
-        "benchmark_depth.csv": ["benchmark,bar,depth"] + [
-            f"{w},{bar},{_fmt(benchmark_depth[w, bar])}"
+        "benchmark_depth.csv": [("benchmark", "bar", "depth")] + [
+            (w, bar, _fmt(benchmark_depth[w, bar]))
             for w, bar in sorted(benchmark_depth, key=lambda key: (key[0], bars.index(key[1])))
         ],
     }
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    for filename, lines in tables.items():
+    for filename, table in tables.items():
         path = os.path.join(out_dir, filename)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(table)
         written.append(path)
     return written

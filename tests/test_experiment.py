@@ -514,6 +514,11 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
         (["--workload", "synthetic", "--requests", "4", "--cr", "bogus"], "sweep.cr: bad cr mode token 'bogus'"),
         (["--workload", "synthetic", "--requests", "4", "--cr", "fixed:99"],
          "sweep.cr: radius 99 exceeds mesh diameter 6"),
+        # an empty --set key or value is refused, as in a config file line
+        (["--workload", "synthetic", "--requests", "4", "--set", "kind="], "--set 'kind=': empty key or value"),
+        (["--workload", "synthetic", "--requests", "4", "--set", "qft.qubits="],
+         "--set 'qft.qubits=': empty key or value"),
+        (["--workload", "qft", "--set", "=4"], "--set '=4': empty key or value"),
     ):
         out_dir = tmp_path / "refused"
         code = cli.main(["run", *flags, "--out", str(out_dir)])
@@ -565,6 +570,40 @@ def test_cli_plotdata(tmp_path):
     code = cli.main(["plotdata", str(tmp_path / "g.csv"), "--out", str(tmp_path / "plots")])
     assert code == 0
     assert (tmp_path / "plots" / "benchmark_delay.csv").exists()
+
+
+def test_a_label_with_a_comma_is_quoted_in_results_and_plot_data(tmp_path):
+    circuit_file = tmp_path / "a,b.qc"
+    circuit_file.write_text("qubits 4\ncx 0 3\n")
+    assert cli.main(["run", "--workload", str(circuit_file), "--out", str(tmp_path / "out")]) == 0
+    csv_path = tmp_path / "out" / "results.csv"
+    lines = csv_path.read_text().splitlines()
+    assert lines[1].startswith('"a,b",hh,-,') and lines[2].startswith('"a,b",twt,-,')
+    assert [(r["workload"], r["strategy"]) for r in read_rows(str(csv_path))] == [("a,b", "hh"), ("a,b", "twt")]
+    assert cli.main(["plotdata", str(csv_path), "--out", str(tmp_path / "plots")]) == 0
+    plots = tmp_path / "plots"
+    assert [(r["benchmark"], r["strategy"]) for r in _read_rows(plots / "benchmark_delay.csv")] == [
+        ("a,b", "hh"),
+        ("a,b", "twt"),
+    ]
+    assert [(r["benchmark"], r["bar"]) for r in _read_rows(plots / "benchmark_depth.csv")] == [
+        ("a,b", "original"),
+        ("a,b", "hh"),
+        ("a,b", "twt"),
+    ]
+
+
+def test_cli_bundle_prints_exactly_the_written_paths(tmp_path, capsys, monkeypatch):
+    bundle = [
+        ("qft8", merge_config({"workload": "qft", "qft.qubits": "8"})),
+        ("cuccaro2", merge_config({"workload": "cuccaro", "cuccaro.bits": "2"})),
+    ]
+    monkeypatch.setattr(experiment, "default_bundle", lambda: bundle)
+    out_dir = tmp_path / "bundle"
+    assert cli.main(["bundle", "--out", str(out_dir)]) == 0
+    written = [str(out_dir / f"{name}.{ext}") for name, _config in bundle for ext in ("csv", "json")]
+    assert capsys.readouterr().out.splitlines() == written
+    assert sorted(str(path) for path in out_dir.iterdir()) == sorted(written)
 
 
 def test_partial_rows_are_flushed_before_a_failing_point_exits(tmp_path):

@@ -31,7 +31,12 @@ EAGER_LOGS = {
 
 
 def log_digest(records) -> str:
-    return hashlib.sha256(repr([dataclasses.astuple(record) for record in records]).encode()).hexdigest()
+    """HopRecord.link is a property, not a field; it goes back in at position
+    4, where the eager tuples held it, so that each pinned digest keeps its value."""
+    rows = [dataclasses.astuple(record) for record in records]
+    if records and isinstance(records[0], HopRecord):
+        rows = [(*row[:4], record.link, *row[4:]) for row, record in zip(rows, records)]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
 CONTENDED_CIRCUIT = gen_synthetic(
@@ -50,6 +55,7 @@ def test_request_records_agree_with_the_hop_log(strategy, m_per_core, p_bsm, pip
     hops_of: dict[int, list[HopRecord]] = {}
     for hop in report.hops:
         hops_of.setdefault(hop.gate_id, []).append(hop)
+        assert hop.link == MESH.bsm_link_between(hop.src_core, hop.dst_core)  # derived from the two cores
     assert sorted(hops_of) == sorted(request.gate_id for request in report.requests)
     issue = {request.gate_id: request.issue for request in report.requests}
     assert any(hop.hop_index == 0 and hop.start > issue[hop.gate_id] for hop in report.hops)  # contended
