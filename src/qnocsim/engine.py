@@ -31,6 +31,7 @@ qubit's hops and gates complete.
 from __future__ import annotations
 
 import heapq
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import starmap
@@ -98,29 +99,35 @@ class RequestRecord:
         return self.arrival - self.issue
 
 
-class _Records(Sequence):
-    """Read-only sequence of records, built from the engine's rows on first read.
+HOP_ROW = struct.Struct("=6iq2d")  # HopRecord fields, 48 bytes; see _Records
+REQUEST_ROW = struct.Struct("=5iq2d")  # RequestRecord fields, 44 bytes
 
-    The engine logs one plain tuple per hop or request, in the record's field
-    order. Nothing builds a record until a caller reads one; then all are
-    built at once and the rows are dropped. The view compares, hashes, adds,
-    pickles and copies as the tuple of its records.
+
+class _Records(Sequence):
+    """Read-only sequence of records, built from the engine's packed rows on first read.
+
+    The engine packs one row_struct row per hop or request into buffer, in
+    the record's field order: ids as 32-bit ints, attempts as a 64-bit int,
+    times as doubles, which round-trip exactly. A value that does not fit
+    raises struct.error, never wraps; a gate, qubit or core id of 2**31 could
+    not fit in memory anyway. Nothing builds a record until a caller reads
+    one; then all are built at once and the buffer is dropped. The view
+    compares, hashes, adds, pickles and copies as the tuple of its records.
     """
 
-    __slots__ = ("_cls", "_items")
+    __slots__ = ("_cls", "_row", "_items")
 
-    def __init__(self, cls, rows):
-        self._cls = cls  # None once _items holds the records
-        self._items = rows
+    def __init__(self, cls, row_struct, buffer):
+        self._cls, self._row, self._items = cls, row_struct, buffer  # _cls is None once _items holds the records
 
     def _records(self) -> tuple:
         if self._cls is not None:
-            self._items = tuple(starmap(self._cls, self._items))
+            self._items = tuple(starmap(self._cls, self._row.iter_unpack(self._items)))
             self._cls = None
         return self._items
 
     def __len__(self):
-        return len(self._items)
+        return len(self._items) if self._cls is None else len(self._items) // self._row.size
 
     def __getitem__(self, index):
         return self._records()[index]
@@ -159,7 +166,7 @@ class SimReport:
     inter_core_requests: int
     congestion_events: int
     max_core_occupancy: int
-    requests: Sequence[RequestRecord]  # built on first read; tuple(...) gives a plain tuple
+    requests: Sequence[RequestRecord]  # packed rows until first read; tuple(...) gives a plain tuple
     hops: Sequence[HopRecord]
     final_placement: tuple[int, ...]  # qubit -> core after the last layer
 
@@ -169,7 +176,8 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
 
     For a two-qubit gate the first operand is the moving source endpoint and
     the second the destination, matching the (control, target) reading of
-    the gate-list format.
+    the gate-list format. The report logs one packed HOP_ROW per hop, in grant
+    order, and one REQUEST_ROW per request; records are built on first read.
     """
     topo = cfg.topology
     t_gate = cfg.timing.t_gate
@@ -184,8 +192,9 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
     comm_critical = 0.0
     congestion_events = 0
     max_occupancy = placement.max_occupancy()
-    request_rows: list[tuple] = []  # RequestRecord fields, one tuple per request
-    hop_rows: list[tuple] = []  # HopRecord fields, one tuple per hop
+    inter_core_requests = 0
+    request_log = bytearray()  # one REQUEST_ROW per request
+    hop_log = bytearray()  # one HOP_ROW per hop
     level = [0] * circuit.num_qubits  # expanded-circuit depth reached by each qubit
     relocation_order = itemgetter(8, 0, 1, 2)  # (finish, gate_id, chain, hop_index): qubits move as their hops finish
 
@@ -221,12 +230,13 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
             requests.append((gate_id, src_core, dst_core, distance, comm_plan.rounds))
 
         layer_end = now + t_gate if has_local else now  # t_gate >= 0, so this is max(now, now + t_gate)
-        layer_hops = len(hop_rows)
+        hop_rows: list[tuple] = []  # HopRecord fields, one tuple per hop, in grant order
         _drain_hops(cfg, pending, hop_rows)
-        # The rows come in finish order, so a request's last finish written is its arrival.
+        hop_log += b"".join(starmap(HOP_ROW.pack, hop_rows))
+        hop_rows.sort(key=relocation_order)  # finish order: a request's last finish written is its arrival
         attempts: dict[int, int] = {}
         arrival: dict[int, float] = {}
-        for hop in sorted(hop_rows[layer_hops:], key=relocation_order):
+        for hop in hop_rows:
             gate_id = hop[0]
             attempts[gate_id] = attempts.get(gate_id, 0) + hop[6]
             arrival[gate_id] = hop[8]
@@ -237,10 +247,11 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
             if occupancy > max_occupancy:
                 max_occupancy = occupancy
 
+        inter_core_requests += len(requests)
         layer_latency = 0.0
         for request in requests:
             gate_id = request[0]
-            request_rows.append((*request, attempts[gate_id], now, arrival[gate_id]))
+            request_log += REQUEST_ROW.pack(*request, attempts[gate_id], now, arrival[gate_id])
             latency = arrival[gate_id] - now  # RequestRecord.latency
             comm_sum += latency
             layer_latency = max(layer_latency, latency)
@@ -255,11 +266,11 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
         comm_delay_critical=comm_critical,
         original_depth=len(layers),
         expanded_depth=max(level),
-        inter_core_requests=len(request_rows),
+        inter_core_requests=inter_core_requests,
         congestion_events=congestion_events,
         max_core_occupancy=max_occupancy,
-        requests=_Records(RequestRecord, request_rows),
-        hops=_Records(HopRecord, hop_rows),
+        requests=_Records(RequestRecord, REQUEST_ROW, request_log),
+        hops=_Records(HopRecord, HOP_ROW, hop_log),
         final_placement=tuple(placement.core_of(q) for q in range(circuit.num_qubits)),
     )
 

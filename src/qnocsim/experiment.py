@@ -486,16 +486,19 @@ def read_rows(csv_path: str) -> list[dict]:
     cr_mode as a float; ``summarize`` of them is the run's JSON summary."""
     with open(csv_path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
-        missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
-        if missing:
-            raise ValueError(f"{csv_path}: missing columns {missing}")
-        rows = []
-        for row in reader:
-            try:
-                rows.append({c: row[c] if c in TEXT_COLUMNS else float(row[c]) for c in CSV_COLUMNS})
-            except (TypeError, ValueError):  # a short row holds None in its last columns
-                raise ValueError(f"{csv_path}:{reader.line_num}: a numeric column is missing or not a number") from None
-        return rows
+        try:
+            missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
+            if missing:
+                raise ValueError(f"{csv_path}: missing columns {missing}")
+            rows = []
+            for row in reader:
+                try:
+                    rows.append({c: row[c] if c in TEXT_COLUMNS else float(row[c]) for c in CSV_COLUMNS})
+                except (TypeError, ValueError):  # a short row holds None in its last columns
+                    raise ValueError(f"{csv_path}:{reader.line_num}: a numeric column is missing or not a number") from None
+            return rows
+        except csv.Error as error:  # such as a field over csv.field_size_limit(); reader.line_num lags a failed line
+            raise ValueError(f"{csv_path}:{reader.reader.line_num}: {error}") from None
 
 
 def _means(pairs) -> dict:

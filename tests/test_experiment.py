@@ -572,6 +572,15 @@ def test_cli_plotdata(tmp_path):
     assert (tmp_path / "plots" / "benchmark_delay.csv").exists()
 
 
+def test_cli_plotdata_names_the_line_of_an_oversized_field(tmp_path, capsys):
+    csv_path = tmp_path / "big.csv"
+    csv_path.write_text(",".join(CSV_COLUMNS) + "\n" + "x" * 200_000 + "\n")
+    assert cli.main(["plotdata", str(csv_path), "--out", str(tmp_path / "plots")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {csv_path}:2: field larger than field limit")
+    assert not (tmp_path / "plots").exists()
+
+
 def test_a_label_with_a_comma_is_quoted_in_results_and_plot_data(tmp_path):
     circuit_file = tmp_path / "a,b.qc"
     circuit_file.write_text("qubits 4\ncx 0 3\n")

@@ -1,15 +1,17 @@
 """SimReport.hops and SimReport.requests: read-only record sequences that the
-engine fills with plain rows and turns into records on first read."""
+engine fills with packed fixed-width rows and turns into records on first read."""
 
 import copy
 import dataclasses
 import hashlib
 import pickle
+import struct
+import tracemalloc
 
 import pytest
 
 from qnocsim import engine
-from qnocsim.benchgen import CrMode, SynthSpec, gen_synthetic
+from qnocsim.benchgen import CrMode, SynthSpec, gen_quantum_volume, gen_synthetic
 from qnocsim.circuit import Circuit
 from qnocsim.engine import HopRecord, RequestRecord, SimConfig, audit_resources, run
 from qnocsim.protocol import TimingConfig
@@ -19,14 +21,24 @@ MESH = MeshTopology(4, 4)
 CIRCUIT = gen_synthetic(SynthSpec(target_depth=5, requests_per_layer=3, cr_mode=CrMode("random", 6), seed=8), MESH, 8)
 LOSSY = SimConfig(topology=MESH, n_per_core=8, m_per_core=2, timing=TimingConfig(p_bsm=0.5), strategy="twt", seed=8)
 CONTENDED = dataclasses.replace(LOSSY, m_per_core=1, strategy="hh", pipeline_hops=True)
+FRACTIONAL = dataclasses.replace(
+    LOSSY,
+    timing=TimingConfig(t_epr=0.1, t_meas=1 / 3, t_classical=0.7, t_correct=0.05, t_gate=0.3, p_bsm=0.5),
+    pipeline_hops=True,
+)
 
-# sha256 of repr([astuple(record) ...]) for the eagerly built hop and request
-# tuples that run returned before records were built lazily.
+# sha256 of repr([astuple(record) ...]) for each hop and request log. The
+# first two were pinned on the eagerly built record tuples that run returned
+# before records were built lazily; "twt fractional" was pinned on the log of
+# plain tuples that run kept before it packed each row into fixed-width bytes,
+# so its times, none of them integral, must round-trip exactly.
 EAGER_LOGS = {
     "twt lossy": (LOSSY, 48, 15, "988880d2bbc51044a35dacbbacadc9bcc03c2f6989fd01c8a04170267c666034",
                   "835c2b7e866747a0ae845e382736e0d4033a8abad9fa3bc57d9ae5c25940f0b5"),
     "hh contended pipelined": (CONTENDED, 44, 15, "5bbfc25d31b1986a71590a1079597cfedcaac2ef3a6636fd3ed48a9ae5e66017",
                                "e51cf2418c81e20165de8e106c29130270cf425a5af12acd996cab8d46986ff2"),
+    "twt fractional": (FRACTIONAL, 48, 15, "b8d73179bdcdbc1008dad5e5d3ad9ae63437b216dcad592f79ce01b323bea10c",
+                       "f05b92885cc7bc4e18bb1a872fc0b3e8291c0f2863be8fbafa60c8a5bf60b67e"),
 }
 
 
@@ -133,6 +145,16 @@ def test_reports_round_trip(round_trip, read_first):
     assert copy.deepcopy(report.requests[0]) == pickle.loads(pickle.dumps(report.requests[0]))
 
 
+def test_a_value_that_does_not_fit_a_row_raises_rather_than_wraps():
+    hop = (2**31 - 1, 1, 2, 3, 4, 5, 2**40, 0.1, 1 / 3)
+    assert engine.HOP_ROW.unpack(engine.HOP_ROW.pack(*hop)) == hop and engine.HOP_ROW.size == 48
+    assert engine.REQUEST_ROW.size == 44
+    with pytest.raises(struct.error):
+        engine.HOP_ROW.pack(2**31, *hop[1:])
+    with pytest.raises(struct.error):
+        engine.REQUEST_ROW.pack(0, 1, 2, 3, 4, 2**63, 0.0, 1.0)
+
+
 def test_request_records_are_slotted():
     record = run(CIRCUIT, LOSSY).requests[0]
     assert not hasattr(record, "__dict__")
@@ -176,3 +198,21 @@ def test_run_builds_records_only_when_they_are_read(monkeypatch):
     assert built == {"hops": 48, "requests": 15}
     assert report == copied and len(list(report.hops)) == 48 and len(list(report.requests)) == 15
     assert built == {"hops": 48, "requests": 15}
+
+
+def test_an_unread_report_holds_under_100_bytes_per_hop():
+    """The hop log is most of a large run's memory; each unread hop, with its
+    share of the request log, is a packed row, not a tuple of boxed fields."""
+    circuit = gen_quantum_volume(256, 10, seed=1)
+    cfg = SimConfig(topology=MeshTopology(8, 8), n_per_core=4, m_per_core=1, timing=TimingConfig(p_bsm=0.5))
+    circuit.layers  # cached on the circuit, so not counted against the report
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = run(circuit, cfg)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    hops = len(report.hops)  # a failed assert on report.hops would print, and so build, every record
+    assert hops >= 5000
+    assert held / hops < 100
