@@ -16,7 +16,13 @@ A link, and each of a core's m communication qubits, is free from the finish
 of the last hop granted it; a hop takes the earliest-free qubit at each end.
 The idle gap before a grant's start is never backfilled by a later grant.
 A request's attempts are the sum of its hops' attempts, and its arrival is
-the latest finish among its hops.
+the latest finish among its hops. A chain's attempts never depend on timing,
+so all of them are drawn from its own stream when its request is planned.
+
+A run keeps only its totals. The hop and request records of a report are
+made on first read, by simulating the run again with logging on; the
+determinism above makes that replay exact, and it is checked against the
+report's totals.
 
 With pipeline_hops enabled, entanglement for later hops of a chain may be
 generated while earlier hops are still in flight (resources permitting); the
@@ -31,6 +37,7 @@ qubit's hops and gates complete.
 from __future__ import annotations
 
 import heapq
+import math
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -103,31 +110,66 @@ HOP_ROW = struct.Struct("=6iq2d")  # HopRecord fields, 48 bytes; see _Records
 REQUEST_ROW = struct.Struct("=5iq2d")  # RequestRecord fields, 44 bytes
 
 
+class _Replay:
+    """The hop and request logs of one report's run, made when first asked for.
+
+    run keeps no log, so an unread report holds no memory per hop. The first
+    request simulates the run again with logging on; the engine is
+    deterministic per (circuit, cfg), so this logs the run that made the
+    report, and the replay checks that its totals equal the report's. It
+    looks up layerize, plan, request_stream and entanglement_attempts as
+    module globals, as run does. Each log is handed over once; after the
+    replay the circuit and config are dropped.
+    """
+
+    __slots__ = ("_run", "_logs")
+
+    def __init__(self, circuit, cfg, outcome):
+        self._run = (circuit, cfg, outcome)  # outcome: what _simulate returned for the report
+        self._logs: dict = {}
+
+    def take(self, row_struct) -> bytearray:
+        """The log of row_struct rows (HOP_ROW or REQUEST_ROW), in the order run made them."""
+        if self._run is not None:
+            circuit, cfg, outcome = self._run
+            logs = (bytearray(), bytearray())
+            if _simulate(circuit, cfg, logs) != outcome:
+                raise RuntimeError(
+                    "the run could not be reproduced: simulating it again to log its hops gave other totals;"
+                    " read a report's records before restoring a patched engine global"
+                )
+            self._logs = dict(zip((REQUEST_ROW, HOP_ROW), logs))
+            self._run = None
+        return self._logs.pop(row_struct)
+
+
 class _Records(Sequence):
     """Read-only sequence of records, built from the engine's packed rows on first read.
 
-    The engine packs one row_struct row per hop or request into buffer, in
-    the record's field order: ids as 32-bit ints, attempts as a 64-bit int,
+    The rows come from replay, one row_struct row per hop or request in the
+    record's field order: ids as 32-bit ints, attempts as a 64-bit int,
     times as doubles, which round-trip exactly. A value that does not fit
     raises struct.error, never wraps; a gate, qubit or core id of 2**31 could
-    not fit in memory anyway. Nothing builds a record until a caller reads
-    one; then all are built at once and the buffer is dropped. The view
-    compares, hashes, adds, pickles and copies as the tuple of its records.
+    not fit in memory anyway. Nothing is replayed or built until a caller
+    reads a record, and len does not read one; then all records are built at
+    once. The view compares, hashes, adds, pickles and copies as the tuple of
+    its records.
     """
 
-    __slots__ = ("_cls", "_row", "_items")
+    __slots__ = ("_cls", "_row", "_len", "_replay", "_items")
 
-    def __init__(self, cls, row_struct, buffer):
-        self._cls, self._row, self._items = cls, row_struct, buffer  # _cls is None once _items holds the records
+    def __init__(self, cls, row_struct, length, replay):
+        self._cls, self._row, self._len, self._replay = cls, row_struct, length, replay
+        self._items = None
 
     def _records(self) -> tuple:
-        if self._cls is not None:
-            self._items = tuple(starmap(self._cls, self._row.iter_unpack(self._items)))
-            self._cls = None
+        if self._items is None:
+            self._items = tuple(starmap(self._cls, self._row.iter_unpack(self._replay.take(self._row))))
+            self._replay = None
         return self._items
 
     def __len__(self):
-        return len(self._items) if self._cls is None else len(self._items) // self._row.size
+        return self._len
 
     def __getitem__(self, index):
         return self._records()[index]
@@ -176,16 +218,43 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
 
     For a two-qubit gate the first operand is the moving source endpoint and
     the second the destination, matching the (control, target) reading of
-    the gate-list format. The report logs one packed HOP_ROW per hop, in grant
-    order, and one REQUEST_ROW per request; records are built on first read.
+    the gate-list format. The run keeps no hop or request log: the first
+    read of the report's hops or requests simulates the run once more with
+    logging on, which fills both (see _Replay), so reading them costs one
+    more run. Raises ValueError if the delay totals are not finite, as when
+    the timing values overflow.
+    """
+    outcome = _simulate(circuit, cfg, None)
+    fields, hop_count = outcome
+    overflowed = [f"{name}={fields[name]}" for name in ("total_delay", "comm_delay_sum", "comm_delay_critical")
+                  if not math.isfinite(fields[name])]
+    if overflowed:
+        raise ValueError(f"timing values too large: simulated delay is not finite ({', '.join(overflowed)})")
+    replay = _Replay(circuit, cfg, outcome)
+    return SimReport(
+        **fields,
+        requests=_Records(RequestRecord, REQUEST_ROW, fields["inter_core_requests"], replay),
+        hops=_Records(HopRecord, HOP_ROW, hop_count, replay),
+    )
+
+
+def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[bytearray, bytearray] | None):
+    """The one simulation loop: (SimReport fields but the logs, hops granted).
+
+    With logs = (request_log, hop_log), it appends one REQUEST_ROW per
+    request and one HOP_ROW per hop, in grant order; run passes None.
     """
     topo = cfg.topology
-    t_gate = cfg.timing.t_gate
+    timing = cfg.timing
+    t_gate = timing.t_gate
     placement = PlacementMap.initial_mapping(circuit.num_qubits, topo, cfg.n_per_core)
     layers = layerize(circuit)  # looked up as a module global: perfbench/tracing.py wraps it
     gates = circuit.gates
     core_of, relocate, occupancy_of = placement.core_of, placement.relocate, placement.occupancy
-    draws = cfg.timing.p_bsm < 1  # at p_bsm == 1 no hop consumes randomness, so chains get no stream
+    attempts_of = entanglement_attempts
+    draws = timing.p_bsm < 1  # at p_bsm == 1 no hop consumes randomness, so chains get no stream
+    if logs is not None:
+        request_log, hop_log = logs
 
     now = 0.0
     comm_sum = 0.0
@@ -193,15 +262,14 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
     congestion_events = 0
     max_occupancy = placement.max_occupancy()
     inter_core_requests = 0
-    request_log = bytearray()  # one REQUEST_ROW per request
-    hop_log = bytearray()  # one HOP_ROW per hop
+    hop_count = 0
     level = [0] * circuit.num_qubits  # expanded-circuit depth reached by each qubit
     relocation_order = itemgetter(8, 0, 1, 2)  # (finish, gate_id, chain, hop_index): qubits move as their hops finish
 
     for layer in layers:
         has_local = False  # a gate that needs no teleport finishes at now + t_gate
         pending = []  # one _drain_hops heap entry per hop chain
-        requests = []  # (gate_id, src_core, dst_core, distance, rounds), until the record is built
+        requests = []  # (gate_id, src_core, dst_core, distance, rounds, attempts), until the record is built
         for gate_id in layer:
             qubits = gates[gate_id].qubits
             if len(qubits) == 1:  # Circuit has checked every gate's arity
@@ -220,26 +288,29 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
             level[q_src] += len(comm_plan.src_hops)
             level[q_dst] += len(comm_plan.dst_hops)
             level[q_src] = level[q_dst] = max(level[q_src], level[q_dst]) + 1
+            request_attempts = 0
             for chain_idx, (qubit, start_core, route) in enumerate(
                 [(q_src, src_core, comm_plan.src_hops), (q_dst, dst_core, comm_plan.dst_hops)]
             ):
                 if route:
+                    # A chain's draws never depend on timing, so they are all made here.
                     rng = request_stream(cfg.seed, gate_id, chain_idx) if draws else None
-                    pending.append((now, gate_id, chain_idx, 0, qubit, start_core, now, route, rng))
+                    hop_attempts = [attempts_of(timing, rng) for _ in route]
+                    request_attempts += sum(hop_attempts)
+                    pending.append((now, gate_id, chain_idx, 0, qubit, start_core, now, route, hop_attempts))
             distance = topo.hop_distance(src_core, dst_core)
-            requests.append((gate_id, src_core, dst_core, distance, comm_plan.rounds))
+            requests.append((gate_id, src_core, dst_core, distance, comm_plan.rounds, request_attempts))
 
         layer_end = now + t_gate if has_local else now  # t_gate >= 0, so this is max(now, now + t_gate)
         hop_rows: list[tuple] = []  # HopRecord fields, one tuple per hop, in grant order
         _drain_hops(cfg, pending, hop_rows)
-        hop_log += b"".join(starmap(HOP_ROW.pack, hop_rows))
+        hop_count += len(hop_rows)
+        if logs is not None:
+            hop_log += b"".join(starmap(HOP_ROW.pack, hop_rows))
         hop_rows.sort(key=relocation_order)  # finish order: a request's last finish written is its arrival
-        attempts: dict[int, int] = {}
         arrival: dict[int, float] = {}
         for hop in hop_rows:
-            gate_id = hop[0]
-            attempts[gate_id] = attempts.get(gate_id, 0) + hop[6]
-            arrival[gate_id] = hop[8]
+            arrival[hop[0]] = hop[8]  # gate_id -> finish
             dst_core = hop[5]
             if relocate(hop[3], dst_core):  # qubit
                 congestion_events += 1
@@ -250,17 +321,18 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
         inter_core_requests += len(requests)
         layer_latency = 0.0
         for request in requests:
-            gate_id = request[0]
-            request_log += REQUEST_ROW.pack(*request, attempts[gate_id], now, arrival[gate_id])
-            latency = arrival[gate_id] - now  # RequestRecord.latency
+            arrived = arrival[request[0]]
+            if logs is not None:
+                request_log += REQUEST_ROW.pack(*request, now, arrived)
+            latency = arrived - now  # RequestRecord.latency
             comm_sum += latency
             layer_latency = max(layer_latency, latency)
-            layer_end = max(layer_end, arrival[gate_id] + t_gate)
+            layer_end = max(layer_end, arrived + t_gate)
 
         comm_critical += layer_latency
         now = layer_end
 
-    return SimReport(
+    fields = dict(
         total_delay=now,
         comm_delay_sum=comm_sum,
         comm_delay_critical=comm_critical,
@@ -269,26 +341,24 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
         inter_core_requests=inter_core_requests,
         congestion_events=congestion_events,
         max_core_occupancy=max_occupancy,
-        requests=_Records(RequestRecord, REQUEST_ROW, request_log),
-        hops=_Records(HopRecord, HOP_ROW, hop_log),
         final_placement=tuple(placement.core_of(q) for q in range(circuit.num_qubits)),
     )
+    return fields, hop_count
 
 
 def _drain_hops(cfg, pending, hop_rows):
     """Grant every hop of the layer's chains, appending one row of HopRecord fields each.
 
     pending holds one heap entry per chain, for its next hop:
-    (ready, gate_id, chain, hop_index, qubit, core, data_at, route, rng).
-    The qubit's data is at core from data_at on, and route lists the core
-    each hop of the chain goes to. The first four fields are unique, so heap
-    comparison never reaches route or rng.
+    (ready, gate_id, chain, hop_index, qubit, core, data_at, route, attempts).
+    The qubit's data is at core from data_at on, route lists the core each
+    hop of the chain goes to and attempts each hop's entanglement attempts.
+    The first four fields are unique, so heap comparison never reaches route.
     """
     topo, timing = cfg.topology, cfg.timing
     link_busy_until: dict[tuple[int, int], float] = {}  # link -> finish of its last grant
     comm_free_at = [[0.0] * cfg.m_per_core for _ in range(topo.num_cores)]  # per core, min-heap of qubit free times
     link_between = topo.bsm_link_between
-    attempts_of = entanglement_attempts
     t_epr, tail = timing.t_epr, timing.t_meas + timing.t_classical + timing.t_correct
     pipelined = cfg.pipeline_hops
     heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
@@ -302,7 +372,7 @@ def _drain_hops(cfg, pending, hop_rows):
     # Same arithmetic as max(), written out; TimingConfig rejects NaN, on
     # which the two would differ.
     while pending:
-        ready, gate_id, chain_idx, hop_idx, qubit, src, data_at, route, rng = heappop(pending)
+        ready, gate_id, chain_idx, hop_idx, qubit, src, data_at, route, hop_attempts = heappop(pending)
         dst = route[hop_idx]
         link = link_between(src, dst)
         start = link_busy_until.get(link, 0.0)
@@ -314,7 +384,7 @@ def _drain_hops(cfg, pending, hop_rows):
             start = src_free[0]
         if dst_free[0] > start:
             start = dst_free[0]
-        attempts = attempts_of(timing, rng)
+        attempts = hop_attempts[hop_idx]
         epr_done = start + attempts * t_epr
         finish = data_at
         if epr_done > finish:
@@ -326,7 +396,7 @@ def _drain_hops(cfg, pending, hop_rows):
         add_hop((gate_id, chain_idx, hop_idx, qubit, src, dst, attempts, start, finish))
         if hop_idx + 1 < len(route):
             next_ready = ready if pipelined else finish
-            heappush(pending, (next_ready, gate_id, chain_idx, hop_idx + 1, qubit, dst, finish, route, rng))
+            heappush(pending, (next_ready, gate_id, chain_idx, hop_idx + 1, qubit, dst, finish, route, hop_attempts))
 
 
 def audit_resources(report: SimReport, cfg: SimConfig) -> list[str]:

@@ -384,15 +384,15 @@ def run_experiment(config: dict[str, str], out_dir: str, name: str = "results") 
         writer.writerow(CSV_COLUMNS)
         csv_file.flush()
         for point in points:
-            # No name holds the report: the previous run's hop log would stay
-            # alive while the next run builds its own, raising peak memory.
+            # Only the report's totals are read, so its records are never replayed.
+            where = (f"in the run workload={point.workload} cr_mode={point.cr_mode}"
+                     f" strategy={point.cfg.strategy} seed={point.cfg.seed}")
             try:
                 row = row_for(point, run(point.circuit, point.cfg))
             except ProtocolError as error:
-                raise ProtocolError(
-                    f"{error} (timing.max_attempts) in the run workload={point.workload}"
-                    f" cr_mode={point.cr_mode} strategy={point.cfg.strategy} seed={point.cfg.seed}"
-                ) from error
+                raise ProtocolError(f"{error} (timing.max_attempts) {where}") from error
+            except ValueError as error:  # such as delay totals that are not finite
+                raise type(error)(f"{error} {where}") from error
             writer.writerow([_fmt(row[c]) for c in CSV_COLUMNS])
             csv_file.flush()
 
@@ -483,7 +483,7 @@ def run_default_bundle(out_dir: str) -> list[str]:
 
 def read_rows(csv_path: str) -> list[dict]:
     """A results CSV's rows, with every column but workload, strategy and
-    cr_mode as a float; ``summarize`` of them is the run's JSON summary."""
+    cr_mode as a finite float; ``summarize`` of them is the run's JSON summary."""
     with open(csv_path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         try:
@@ -493,9 +493,13 @@ def read_rows(csv_path: str) -> list[dict]:
             rows = []
             for row in reader:
                 try:
-                    rows.append({c: row[c] if c in TEXT_COLUMNS else float(row[c]) for c in CSV_COLUMNS})
+                    parsed = {c: row[c] if c in TEXT_COLUMNS else float(row[c]) for c in CSV_COLUMNS}
                 except (TypeError, ValueError):  # a short row holds None in its last columns
                     raise ValueError(f"{csv_path}:{reader.line_num}: a numeric column is missing or not a number") from None
+                bad = next((c for c in CSV_COLUMNS if c not in TEXT_COLUMNS and not math.isfinite(parsed[c])), None)
+                if bad:
+                    raise ValueError(f"{csv_path}:{reader.line_num}: {bad} is not finite: {row[bad]!r}")
+                rows.append(parsed)
             return rows
         except csv.Error as error:  # such as a field over csv.field_size_limit(); reader.line_num lags a failed line
             raise ValueError(f"{csv_path}:{reader.reader.line_num}: {error}") from None

@@ -13,8 +13,9 @@ A hop between adjacent cores breaks down into four timed phases:
   4. conditional correction at the destination (t_correct).
 
 This module holds the durations, which TimingConfig checks once, and draws
-the attempt counts from them; engine._drain_hops applies them. A hop granted
-at start finishes at
+the attempt counts from them. The engine draws all of a chain's counts when
+it plans the request, and engine._drain_hops applies them. A hop granted at
+start finishes at
 
   finish = max(start + attempts·t_epr, data arrival) + t_meas + t_classical + t_correct
 

@@ -266,6 +266,13 @@ def test_capacity_error_propagates():
         run(c, cfg_for("hh"))
 
 
+def test_delay_totals_that_overflow_raise():
+    c = Circuit.from_ops(16, [("cx", (0, 15))])  # six sequential hops of t_epr each
+    assert math.isfinite(run(c, cfg_for("hh", t_epr=1e307)).total_delay)
+    with pytest.raises(ValueError, match=r"not finite \(total_delay=inf, comm_delay_sum=inf, comm_delay_critical=inf\)"):
+        run(c, cfg_for("hh", t_epr=1e308))
+
+
 def test_attempt_counts_accumulate_with_lossy_bsm():
     c = Circuit.from_ops(16, [("cx", (0, 15))])
     report = run(c, cfg_for("hh", seed=3, p_bsm=0.5))

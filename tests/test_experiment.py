@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import shlex
 import weakref
@@ -549,9 +550,26 @@ def test_cli_reports_attempt_exhaustion_and_keeps_the_csv_prefix(tmp_path, capsy
     assert (tmp_path / "results.csv").read_text() == ",".join(CSV_COLUMNS) + "\n"
 
 
+def test_cli_reports_a_non_finite_run_and_keeps_the_csv_prefix(tmp_path, capsys):
+    # one layer of one three-hop request stays finite at t_epr = 5e307; two layers overflow
+    argv = ["run", "--workload", "synthetic", "--cr", "fixed:3", "--requests", "1,2", "--strategy", "hh",
+            "--set", "timing.t_epr=5e307", "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: timing values too large: simulated delay is not finite (total_delay=inf")
+    assert err.endswith(" in the run workload=synthetic_d2_rpl1 cr_mode=fixed:3 strategy=hh seed=1\n")
+    rows = _read_rows(tmp_path / "results.csv")
+    assert [row["workload"] for row in rows] == ["synthetic_d1_rpl1"]
+    assert math.isfinite(float(rows[0]["total_delay"]))
+    assert not (tmp_path / "results.json").exists()
+    argv = ["run", "--workload", "qft", "--set", "qft.qubits=8", "--set", "timing.t_epr=1e308", "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert "workload=qft8 cr_mode=- strategy=hh seed=1" in capsys.readouterr().err
+
+
 def test_no_report_outlives_its_row(tmp_path, monkeypatch):
-    """Each run's SimReport is freed once its row is written, so the hop log
-    of one run is never alive while the next run builds its own."""
+    """Each run's SimReport is freed once its row is written, so no report,
+    nor the circuit and config it would replay, outlives its row."""
     engine_run, finished = experiment.run, []
 
     def run(circuit, cfg):
@@ -578,6 +596,15 @@ def test_cli_plotdata_names_the_line_of_an_oversized_field(tmp_path, capsys):
     assert cli.main(["plotdata", str(csv_path), "--out", str(tmp_path / "plots")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {csv_path}:2: field larger than field limit")
+    assert not (tmp_path / "plots").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+def test_cli_plotdata_rejects_a_non_finite_field(tmp_path, capsys, value):
+    csv_path = tmp_path / "r.csv"
+    csv_path.write_text(",".join(CSV_COLUMNS) + f"\nqft8,hh,-,1,1,14,{value},16,1,2,0,1\n")
+    assert cli.main(["plotdata", str(csv_path), "--out", str(tmp_path / "plots")]) == 1
+    assert capsys.readouterr().err == f"error: {csv_path}:2: comm_delay_critical is not finite: {value!r}\n"
     assert not (tmp_path / "plots").exists()
 
 

@@ -1,10 +1,12 @@
 """SimReport.hops and SimReport.requests: read-only record sequences that the
-engine fills with packed fixed-width rows and turns into records on first read."""
+engine fills on first read, by replaying the run with logging on into packed
+fixed-width rows, and turns into records."""
 
 import copy
 import dataclasses
 import hashlib
 import pickle
+import random
 import struct
 import tracemalloc
 
@@ -201,8 +203,8 @@ def test_run_builds_records_only_when_they_are_read(monkeypatch):
 
 
 def test_an_unread_report_holds_under_100_bytes_per_hop():
-    """The hop log is most of a large run's memory; each unread hop, with its
-    share of the request log, is a packed row, not a tuple of boxed fields."""
+    """The hop log is most of a large run's memory, and an unread report
+    holds none of it."""
     circuit = gen_quantum_volume(256, 10, seed=1)
     cfg = SimConfig(topology=MeshTopology(8, 8), n_per_core=4, m_per_core=1, timing=TimingConfig(p_bsm=0.5))
     circuit.layers  # cached on the circuit, so not counted against the report
@@ -216,3 +218,54 @@ def test_an_unread_report_holds_under_100_bytes_per_hop():
     hops = len(report.hops)  # a failed assert on report.hops would print, and so build, every record
     assert hops >= 5000
     assert held / hops < 100
+
+
+def test_an_unread_report_holds_no_memory_per_hop():
+    """run keeps no hop or request log, so what an unread report holds does
+    not grow with its hop count; the margin covers the interpreter's free lists."""
+    cfg = SimConfig(topology=MeshTopology(8, 8), n_per_core=4, m_per_core=1, timing=TimingConfig(p_bsm=0.5))
+    circuits = {layers: gen_quantum_volume(256, layers, seed=1) for layers in (10, 40)}
+    for circuit in circuits.values():
+        circuit.layers  # cached on the circuit, so not counted against the report
+    run(circuits[10], cfg)  # the mesh's lookup tables are filled on first use
+    held, hops = {}, {}
+    for layers, circuit in circuits.items():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = run(circuit, cfg)
+            held[layers] = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        hops[layers] = len(report.hops)
+        del report
+    assert hops[40] - hops[10] > 15_000
+    assert held[40] - held[10] < 32 * 1024
+
+
+def test_reading_hops_then_requests_replays_the_run_once(monkeypatch):
+    simulate, calls = engine._simulate, []
+
+    def counting(circuit, cfg, logs):
+        calls.append(logs is not None)
+        return simulate(circuit, cfg, logs)
+
+    monkeypatch.setattr(engine, "_simulate", counting)
+    report = run(CIRCUIT, LOSSY)
+    assert calls == [False] and len(report.hops) == 48 and len(report.requests) == 15
+    assert report.hops[0].gate_id == 0 and calls == [False, True]
+    assert report.requests[-1].arrival <= report.total_delay and calls == [False, True]
+    assert tuple(report.hops) == tuple(run(CIRCUIT, LOSSY).hops)
+
+
+def test_a_replay_that_disagrees_with_the_report_raises(monkeypatch):
+    """A patched engine global restored before the first read changes the
+    replay; the view raises rather than return a log that disagrees with the totals."""
+    report = run(CIRCUIT, LOSSY)
+    monkeypatch.setattr(engine, "request_stream", lambda *args: random.Random(0))
+    with pytest.raises(RuntimeError, match="could not be reproduced"):
+        report.hops[0]
+    with pytest.raises(RuntimeError, match="could not be reproduced"):
+        tuple(report.requests)
+    monkeypatch.undo()
+    assert log_digest(report.hops) == EAGER_LOGS["twt lossy"][3]
