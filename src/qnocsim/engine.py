@@ -38,9 +38,9 @@ from __future__ import annotations
 
 import heapq
 import math
-import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 from itertools import starmap
 from operator import itemgetter
 
@@ -106,70 +106,26 @@ class RequestRecord:
         return self.arrival - self.issue
 
 
-HOP_ROW = struct.Struct("=6iq2d")  # HopRecord fields, 48 bytes; see _Records
-REQUEST_ROW = struct.Struct("=5iq2d")  # RequestRecord fields, 44 bytes
-
-
-class _Replay:
-    """The hop and request logs of one report's run, made when first asked for.
-
-    run keeps no log, so an unread report holds no memory per hop. The first
-    request simulates the run again with logging on; the engine is
-    deterministic per (circuit, cfg), so this logs the run that made the
-    report, and the replay checks that its totals equal the report's. It
-    looks up layerize, plan, request_stream and entanglement_attempts as
-    module globals, as run does. Each log is handed over once; after the
-    replay the circuit and config are dropped.
-    """
-
-    __slots__ = ("_run", "_logs")
-
-    def __init__(self, circuit, cfg, outcome):
-        self._run = (circuit, cfg, outcome)  # outcome: what _simulate returned for the report
-        self._logs: dict = {}
-
-    def take(self, row_struct) -> bytearray:
-        """The log of row_struct rows (HOP_ROW or REQUEST_ROW), in the order run made them."""
-        if self._run is not None:
-            circuit, cfg, outcome = self._run
-            logs = (bytearray(), bytearray())
-            if _simulate(circuit, cfg, logs) != outcome:
-                raise RuntimeError(
-                    "the run could not be reproduced: simulating it again to log its hops gave other totals;"
-                    " read a report's records before restoring a patched engine global"
-                )
-            self._logs = dict(zip((REQUEST_ROW, HOP_ROW), logs))
-            self._run = None
-        return self._logs.pop(row_struct)
-
-
 class _Records(Sequence):
-    """Read-only sequence of records, built from the engine's packed rows on first read.
+    """Read-only sequence of one report's hop or request records, made on first read.
 
-    The rows come from replay, one row_struct row per hop or request in the
-    record's field order: ids as 32-bit ints, attempts as a 64-bit int,
-    times as doubles, which round-trip exactly. A value that does not fit
-    raises struct.error, never wraps; a gate, qubit or core id of 2**31 could
-    not fit in memory anyway. Nothing is replayed or built until a caller
-    reads a record, and len does not read one; then all records are built at
-    once. The view compares, hashes, adds, pickles and copies as the tuple of
-    its records.
+    replay() returns the run's (requests, hops) as tuples of records and
+    memoizes them, so the report's two views, and any copy that shares them,
+    simulate the run again at most once between them. Nothing is replayed
+    until a caller reads a view; len() reads it too. The view compares,
+    hashes, adds, pickles and copies as the tuple of its records.
     """
 
-    __slots__ = ("_cls", "_row", "_len", "_replay", "_items")
+    __slots__ = ("_replay", "_index")
 
-    def __init__(self, cls, row_struct, length, replay):
-        self._cls, self._row, self._len, self._replay = cls, row_struct, length, replay
-        self._items = None
+    def __init__(self, replay, index):
+        self._replay, self._index = replay, index
 
     def _records(self) -> tuple:
-        if self._items is None:
-            self._items = tuple(starmap(self._cls, self._row.iter_unpack(self._replay.take(self._row))))
-            self._replay = None
-        return self._items
+        return self._replay()[self._index]
 
     def __len__(self):
-        return self._len
+        return len(self._records())
 
     def __getitem__(self, index):
         return self._records()[index]
@@ -208,7 +164,7 @@ class SimReport:
     inter_core_requests: int
     congestion_events: int
     max_core_occupancy: int
-    requests: Sequence[RequestRecord]  # packed rows until first read; tuple(...) gives a plain tuple
+    requests: Sequence[RequestRecord]  # replayed on first read; tuple(...) gives a plain tuple
     hops: Sequence[HopRecord]
     final_placement: tuple[int, ...]  # qubit -> core after the last layer
 
@@ -220,29 +176,36 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
     the second the destination, matching the (control, target) reading of
     the gate-list format. The run keeps no hop or request log: the first
     read of the report's hops or requests simulates the run once more with
-    logging on, which fills both (see _Replay), so reading them costs one
-    more run. Raises ValueError if the delay totals are not finite, as when
-    the timing values overflow.
+    logging on, which fills both, so reading them costs one more run. That
+    replay looks up layerize, plan, request_stream and entanglement_attempts
+    as module globals, as the run does, and raises RuntimeError if its totals
+    differ from the report's. Raises ValueError if the delay totals are not
+    finite, as when the timing values overflow.
     """
-    outcome = _simulate(circuit, cfg, None)
-    fields, hop_count = outcome
+    fields = _simulate(circuit, cfg, None)
     overflowed = [f"{name}={fields[name]}" for name in ("total_delay", "comm_delay_sum", "comm_delay_critical")
                   if not math.isfinite(fields[name])]
     if overflowed:
         raise ValueError(f"timing values too large: simulated delay is not finite ({', '.join(overflowed)})")
-    replay = _Replay(circuit, cfg, outcome)
-    return SimReport(
-        **fields,
-        requests=_Records(RequestRecord, REQUEST_ROW, fields["inter_core_requests"], replay),
-        hops=_Records(HopRecord, HOP_ROW, hop_count, replay),
-    )
+
+    @cache
+    def replay() -> tuple[tuple[RequestRecord, ...], tuple[HopRecord, ...]]:
+        requests, hops = logs = [], []
+        if _simulate(circuit, cfg, logs) != fields:
+            raise RuntimeError(
+                "the run could not be reproduced: simulating it again to log its hops gave other totals;"
+                " read a report's records before restoring a patched engine global"
+            )
+        return tuple(requests), tuple(hops)
+
+    return SimReport(**fields, requests=_Records(replay, 0), hops=_Records(replay, 1))
 
 
-def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[bytearray, bytearray] | None):
-    """The one simulation loop: (SimReport fields but the logs, hops granted).
+def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) -> dict:
+    """The one simulation loop: the SimReport fields but the two logs.
 
-    With logs = (request_log, hop_log), it appends one REQUEST_ROW per
-    request and one HOP_ROW per hop, in grant order; run passes None.
+    With logs = (requests, hops), it appends one RequestRecord per request
+    and one HopRecord per hop, in grant order; run passes None.
     """
     topo = cfg.topology
     timing = cfg.timing
@@ -262,7 +225,6 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[bytearray, bytearray
     congestion_events = 0
     max_occupancy = placement.max_occupancy()
     inter_core_requests = 0
-    hop_count = 0
     level = [0] * circuit.num_qubits  # expanded-circuit depth reached by each qubit
     relocation_order = itemgetter(8, 0, 1, 2)  # (finish, gate_id, chain, hop_index): qubits move as their hops finish
 
@@ -304,9 +266,8 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[bytearray, bytearray
         layer_end = now + t_gate if has_local else now  # t_gate >= 0, so this is max(now, now + t_gate)
         hop_rows: list[tuple] = []  # HopRecord fields, one tuple per hop, in grant order
         _drain_hops(cfg, pending, hop_rows)
-        hop_count += len(hop_rows)
         if logs is not None:
-            hop_log += b"".join(starmap(HOP_ROW.pack, hop_rows))
+            hop_log.extend(starmap(HopRecord, hop_rows))
         hop_rows.sort(key=relocation_order)  # finish order: a request's last finish written is its arrival
         arrival: dict[int, float] = {}
         for hop in hop_rows:
@@ -323,7 +284,7 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[bytearray, bytearray
         for request in requests:
             arrived = arrival[request[0]]
             if logs is not None:
-                request_log += REQUEST_ROW.pack(*request, now, arrived)
+                request_log.append(RequestRecord(*request, now, arrived))
             latency = arrived - now  # RequestRecord.latency
             comm_sum += latency
             layer_latency = max(layer_latency, latency)
@@ -332,7 +293,7 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[bytearray, bytearray
         comm_critical += layer_latency
         now = layer_end
 
-    fields = dict(
+    return dict(
         total_delay=now,
         comm_delay_sum=comm_sum,
         comm_delay_critical=comm_critical,
@@ -343,7 +304,6 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[bytearray, bytearray
         max_core_occupancy=max_occupancy,
         final_placement=tuple(placement.core_of(q) for q in range(circuit.num_qubits)),
     )
-    return fields, hop_count
 
 
 def _drain_hops(cfg, pending, hop_rows):

@@ -483,7 +483,8 @@ def run_default_bundle(out_dir: str) -> list[str]:
 
 def read_rows(csv_path: str) -> list[dict]:
     """A results CSV's rows, with every column but workload, strategy and
-    cr_mode as a finite float; ``summarize`` of them is the run's JSON summary."""
+    cr_mode as a finite float and strategy one of STRATEGIES; ``summarize``
+    of them is the run's JSON summary."""
     with open(csv_path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         try:
@@ -499,6 +500,9 @@ def read_rows(csv_path: str) -> list[dict]:
                 bad = next((c for c in CSV_COLUMNS if c not in TEXT_COLUMNS and not math.isfinite(parsed[c])), None)
                 if bad:
                     raise ValueError(f"{csv_path}:{reader.line_num}: {bad} is not finite: {row[bad]!r}")
+                if parsed["strategy"] not in STRATEGIES:
+                    raise ValueError(f"{csv_path}:{reader.line_num}: strategy {parsed['strategy']!r}"
+                                     f" is not one of {', '.join(STRATEGIES)}")
                 rows.append(parsed)
             return rows
         except csv.Error as error:  # such as a field over csv.field_size_limit(); reader.line_num lags a failed line

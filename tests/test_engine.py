@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -152,6 +153,31 @@ def test_expanded_depth_does_not_depend_on_timing_resources_or_seed():
     depths = {run(c, cfg).expanded_depth for cfg in configs}
     assert len(depths) == 1
     assert depths.pop() > depth(c)
+
+
+def test_doubling_every_duration_doubles_the_delays_exactly():
+    """Time scaling: every time is a sum of durations and attempt multiples,
+    and doubling is exact in binary floating point, so the delays double
+    exactly; depth, relocations and placement do not depend on time at all."""
+    timing = TimingConfig(t_epr=0.1, t_meas=1 / 3, t_classical=0.7, t_correct=0.05, t_gate=0.3)
+    doubled = {name: 2 * getattr(timing, name) for name in ("t_epr", "t_meas", "t_classical", "t_correct", "t_gate")}
+    meshes = [MeshTopology(2, 2), MeshTopology(3, 3), MeshTopology(4, 1), MeshTopology(1, 4), MeshTopology(4, 3)]
+    cases = 0
+    for mesh, n, m, p_bsm, pipelined, strategy, seed in itertools.product(
+        meshes, (1, 2, 3), (1, 2), (1.0, 0.5), (False, True), ("hh", "twt"), range(1, 6)
+    ):
+        circuit = random_circuit(mesh.num_cores * n, 30, seed)
+        cfg = SimConfig(topology=mesh, n_per_core=n, m_per_core=m, timing=replace(timing, p_bsm=p_bsm),
+                        strategy=strategy, seed=seed, pipeline_hops=pipelined)
+        base = run(circuit, cfg)
+        scaled = run(circuit, replace(cfg, timing=replace(cfg.timing, **doubled)))
+        case = (mesh.width, mesh.height, n, m, p_bsm, pipelined, strategy, seed)
+        for name in ("total_delay", "comm_delay_sum", "comm_delay_critical"):
+            assert getattr(scaled, name) == 2 * getattr(base, name), (case, name)
+        for name in ("expanded_depth", "congestion_events", "final_placement"):
+            assert getattr(scaled, name) == getattr(base, name), (case, name)
+        cases += 1
+    assert cases == 1200
 
 
 # The engine's mean latency over seeds 0..SEEDS-1 for one uncontended request

@@ -608,6 +608,17 @@ def test_cli_plotdata_rejects_a_non_finite_field(tmp_path, capsys, value):
     assert not (tmp_path / "plots").exists()
 
 
+def test_cli_plotdata_names_the_line_of_an_unknown_strategy(tmp_path, capsys):
+    """A strategy outside STRATEGIES is an error, not a row that summarize drops."""
+    csv_path = tmp_path / "r.csv"
+    csv_path.write_text(",".join(CSV_COLUMNS) + "\nqft8,hh,-,1,1,14,2,16,1,2,0,1\nqft8,HH,-,1,1,14,2,16,1,2,0,1\n")
+    assert cli.main(["plotdata", str(csv_path), "--out", str(tmp_path / "plots")]) == 1
+    assert capsys.readouterr().err == f"error: {csv_path}:3: strategy 'HH' is not one of hh, twt\n"
+    assert not (tmp_path / "plots").exists()
+    with pytest.raises(ValueError, match="r.csv:3: strategy 'HH'"):
+        read_rows(str(csv_path))
+
+
 def test_a_label_with_a_comma_is_quoted_in_results_and_plot_data(tmp_path):
     circuit_file = tmp_path / "a,b.qc"
     circuit_file.write_text("qubits 4\ncx 0 3\n")

@@ -1,13 +1,12 @@
 """SimReport.hops and SimReport.requests: read-only record sequences that the
-engine fills on first read, by replaying the run with logging on into packed
-fixed-width rows, and turns into records."""
+engine fills on first read, len() included, by replaying the run once with
+logging on."""
 
 import copy
 import dataclasses
 import hashlib
 import pickle
 import random
-import struct
 import tracemalloc
 
 import pytest
@@ -31,9 +30,8 @@ FRACTIONAL = dataclasses.replace(
 
 # sha256 of repr([astuple(record) ...]) for each hop and request log. The
 # first two were pinned on the eagerly built record tuples that run returned
-# before records were built lazily; "twt fractional" was pinned on the log of
-# plain tuples that run kept before it packed each row into fixed-width bytes,
-# so its times, none of them integral, must round-trip exactly.
+# before records were built lazily; "twt fractional" was pinned on a log of
+# plain tuples, and none of its times is integral.
 EAGER_LOGS = {
     "twt lossy": (LOSSY, 48, 15, "988880d2bbc51044a35dacbbacadc9bcc03c2f6989fd01c8a04170267c666034",
                   "835c2b7e866747a0ae845e382736e0d4033a8abad9fa3bc57d9ae5c25940f0b5"),
@@ -147,16 +145,6 @@ def test_reports_round_trip(round_trip, read_first):
     assert copy.deepcopy(report.requests[0]) == pickle.loads(pickle.dumps(report.requests[0]))
 
 
-def test_a_value_that_does_not_fit_a_row_raises_rather_than_wraps():
-    hop = (2**31 - 1, 1, 2, 3, 4, 5, 2**40, 0.1, 1 / 3)
-    assert engine.HOP_ROW.unpack(engine.HOP_ROW.pack(*hop)) == hop and engine.HOP_ROW.size == 48
-    assert engine.REQUEST_ROW.size == 44
-    with pytest.raises(struct.error):
-        engine.HOP_ROW.pack(2**31, *hop[1:])
-    with pytest.raises(struct.error):
-        engine.REQUEST_ROW.pack(0, 1, 2, 3, 4, 2**63, 0.0, 1.0)
-
-
 def test_request_records_are_slotted():
     record = run(CIRCUIT, LOSSY).requests[0]
     assert not hasattr(record, "__dict__")
@@ -176,6 +164,7 @@ def test_a_clashing_hop_appended_to_a_report_fails_the_audit():
 
 def test_run_builds_records_only_when_they_are_read(monkeypatch):
     built = {"hops": 0, "requests": 0}
+    simulate, replays = engine._simulate, []
 
     def counting(record_cls, key):
         class Counting(record_cls):
@@ -187,19 +176,31 @@ def test_run_builds_records_only_when_they_are_read(monkeypatch):
 
         return Counting
 
+    def logging_runs(circuit, cfg, logs):
+        replays.append(logs is not None)
+        return simulate(circuit, cfg, logs)
+
     monkeypatch.setattr(engine, "HopRecord", counting(HopRecord, "hops"))
     monkeypatch.setattr(engine, "RequestRecord", counting(RequestRecord, "requests"))
-    report = run(CIRCUIT, LOSSY)
-    copied = dataclasses.replace(report)
-    assert len(report.hops) == 48 and len(report.requests) == 15 and report.inter_core_requests == 15
-    assert built == {"hops": 0, "requests": 0}
-    assert report.hops[0] is report.hops[0]
-    assert built == {"hops": 48, "requests": 0}
-    assert copied.hops[-1] is report.hops[-1]  # replace shares the view
-    assert [r.latency for r in report.requests] == [r.arrival - r.issue for r in report.requests]
-    assert built == {"hops": 48, "requests": 15}
-    assert report == copied and len(list(report.hops)) == 48 and len(list(report.requests)) == 15
-    assert built == {"hops": 48, "requests": 15}
+    monkeypatch.setattr(engine, "_simulate", logging_runs)
+    first_reads = {
+        "len": lambda report: len(report.requests),
+        "index": lambda report: report.hops[0],
+        "iterate": lambda report: list(report.requests),
+        "compare": lambda report: report.hops == (),
+    }
+    for name, first_read in first_reads.items():
+        built.update(hops=0, requests=0)
+        replays.clear()
+        report = run(CIRCUIT, LOSSY)
+        copied = dataclasses.replace(report)
+        assert report.inter_core_requests == 15 and report.total_delay > 0
+        assert (built, replays) == ({"hops": 0, "requests": 0}, [False]), name
+        first_read(report)
+        assert (built, replays) == ({"hops": 48, "requests": 15}, [False, True]), name
+        assert copied.hops[-1] is report.hops[-1] and copied.requests[0] is report.requests[0], name
+        assert len(copied.hops) == 48 and len(report.requests) == 15 and report == copied
+        assert (built, replays) == ({"hops": 48, "requests": 15}, [False, True]), name
 
 
 def test_an_unread_report_holds_under_100_bytes_per_hop():
@@ -252,7 +253,8 @@ def test_reading_hops_then_requests_replays_the_run_once(monkeypatch):
 
     monkeypatch.setattr(engine, "_simulate", counting)
     report = run(CIRCUIT, LOSSY)
-    assert calls == [False] and len(report.hops) == 48 and len(report.requests) == 15
+    assert calls == [False]
+    assert len(report.hops) == 48 and len(report.requests) == 15 and calls == [False, True]
     assert report.hops[0].gate_id == 0 and calls == [False, True]
     assert report.requests[-1].arrival <= report.total_delay and calls == [False, True]
     assert tuple(report.hops) == tuple(run(CIRCUIT, LOSSY).hops)
