@@ -52,6 +52,14 @@ class Circuit:
         for gate_id, gate in enumerate(self.gates):
             qubits = gate.qubits
             arity = arity_of(gate.name)
+            # Fast path for a valid gate; anything else falls through to the
+            # checks below, which name its fault.
+            if arity == 2 == len(qubits):
+                a, b = qubits
+                if a != b and 0 <= a < num_qubits and 0 <= b < num_qubits:
+                    continue
+            elif arity == 1 == len(qubits) and 0 <= qubits[0] < num_qubits:
+                continue
             if arity is None:
                 raise ValueError(f"unknown gate name {gate.name!r}")
             if len(qubits) != arity:
@@ -83,16 +91,22 @@ class Circuit:
         """
         layers: list[list[int]] = []
         qubit_level = [0] * self.num_qubits
-        level_of = qubit_level.__getitem__
         for gate_id, gate in enumerate(self.gates):
             qubits = gate.qubits
-            level = max(map(level_of, qubits))
+            if len(qubits) == 1:  # __post_init__ allows only arities 1 and 2
+                q = qubits[0]
+                level = qubit_level[q]
+                qubit_level[q] = level + 1
+            else:
+                a, b = qubits
+                level = qubit_level[a]
+                if qubit_level[b] > level:
+                    level = qubit_level[b]
+                qubit_level[a] = qubit_level[b] = level + 1
             if level == len(layers):
                 layers.append([gate_id])
             else:
                 layers[level].append(gate_id)
-            for q in qubits:
-                qubit_level[q] = level + 1
         return tuple(map(tuple, layers))
 
 

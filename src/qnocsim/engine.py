@@ -39,7 +39,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import starmap
 from operator import itemgetter
@@ -164,8 +164,10 @@ class SimReport:
     inter_core_requests: int
     congestion_events: int
     max_core_occupancy: int
-    requests: Sequence[RequestRecord]  # replayed on first read; tuple(...) gives a plain tuple
-    hops: Sequence[HopRecord]
+    # Replayed on first read; tuple(...) gives a plain tuple. Left out of
+    # repr, so that printing a report neither replays the run nor prints its log.
+    requests: Sequence[RequestRecord] = field(repr=False)
+    hops: Sequence[HopRecord] = field(repr=False)
     final_placement: tuple[int, ...]  # qubit -> core after the last layer
 
 
@@ -243,7 +245,10 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) 
             dst_core = core_of(q_dst)
             if src_core == dst_core:
                 has_local = True
-                level[q_src] = level[q_dst] = max(level[q_src], level[q_dst]) + 1
+                gate_level = level[q_src]
+                if level[q_dst] > gate_level:
+                    gate_level = level[q_dst]
+                level[q_src] = level[q_dst] = gate_level + 1
                 continue
             comm_plan = plan(cfg.strategy, topo, src_core, dst_core)
             # One teleport marker per hop on each moving qubit, before the gate.

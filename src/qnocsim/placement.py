@@ -15,16 +15,27 @@ class PlacementMap:
     A core may be pushed past its capacity of computation qubits; the move
     succeeds and is reported as congestion rather than rejected. Owned and
     mutated by a single simulation run.
+
+    ``core_of(qubit)`` is the bound ``__getitem__`` of the qubit -> core
+    list, a C call on the engine's per-gate path: it indexes as a list does,
+    raising IndexError past the end.
     """
 
     def __init__(self, qubit_core: list[int], num_cores: int, capacity: int):
         self.capacity = capacity
         self._qubit_core = list(qubit_core)
+        self.core_of = self._qubit_core.__getitem__
         self._core_load = [0] * num_cores
         for qubit, core in enumerate(self._qubit_core):
             if not (0 <= core < num_cores):
                 raise ValueError(f"qubit {qubit} placed on core {core}, outside 0..{num_cores - 1}")
             self._core_load[core] += 1
+
+    def __setstate__(self, state):
+        # A deep copy would keep the original's bound lookup (copy treats it
+        # as atomic); bind core_of to this map's own list instead.
+        self.__dict__.update(state)
+        self.core_of = self._qubit_core.__getitem__
 
     @classmethod
     def initial_mapping(cls, num_qubits: int, topology: MeshTopology, n_per_core: int) -> "PlacementMap":
@@ -35,9 +46,6 @@ class PlacementMap:
         if num_qubits > limit:
             raise CapacityError(f"{num_qubits} qubits exceed {topology.num_cores} cores x {n_per_core}")
         return cls([q // n_per_core for q in range(num_qubits)], topology.num_cores, n_per_core)
-
-    def core_of(self, qubit: int) -> int:
-        return self._qubit_core[qubit]
 
     def occupancy(self, core: int) -> int:
         return self._core_load[core]

@@ -225,3 +225,20 @@ def test_criterion_9_pinned_bundle_bytes(bundle):
     assert len(paths) == 16
     assert digest.hexdigest() == BUNDLE_SHA256
     print(f"\nACCEPTANCE 9 pinned bundle bytes, sha256 {BUNDLE_SHA256[:8]}... over {len(paths)} files: PASS")
+
+
+# sha256 of the CSV and the JSON that perfbench's qft_allpairs workload
+# writes at seed 1: qft 256 on a 2x2 mesh, 64 qubits per core, so nearly every
+# gate is local and the per-gate paths of the engine decide the bytes.
+QFT_ALLPAIRS_SHA256 = {
+    "csv": "378e58e4001caef1f7f8a71456bcf9d7ef6d9a4b0f85eb1bad6d90473d977845",
+    "json": "70d3753f26c60ce5d0738f709c15373f8845df5c0fcecf6530c83115046cd72f",
+}
+
+
+def test_pinned_qft_allpairs_bytes(tmp_path):
+    config = merge_config({"workload": "qft", "qft.qubits": "256", "mesh.width": "2", "mesh.height": "2",
+                           "sim.n_per_core": "64", "sim.m_per_core": "2", "timing.p_bsm": "1"})
+    paths = run_experiment(config, str(tmp_path), "qft_allpairs")
+    digests = {Path(path).suffix[1:]: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in paths}
+    assert digests == QFT_ALLPAIRS_SHA256

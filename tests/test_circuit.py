@@ -181,6 +181,13 @@ def test_circuit_validation():
         (2, [("h", (0, 1))], "gate 'h' takes 1 operand(s), got (0, 1)"),
         (2, [("cx", (0,))], "gate 'cx' takes 2 operand(s), got (0,)"),
         (2, [("tp", (0,))], "unknown gate name 'tp'"),  # no gate name is reserved for teleport markers
+        # A bad gate after valid ones: each leaves the one- or two-operand fast
+        # path and gets the same message as the generic checks give it.
+        (3, [("h", (0,)), ("cx", (0, 1)), ("cx", (1, 1))], "gate 2 repeats an operand: (1, 1)"),
+        (3, [("cx", (0, 1)), ("h", (1,)), ("cx", (0, -1))], "gate 2 operand -1 outside 0..2"),
+        (3, [("u", (2,)), ("cx", (0, 1)), ("cx", (0, 1, 2))], "gate 'cx' takes 2 operand(s), got (0, 1, 2)"),
+        (3, [("cx", (2, 1)), ("u", (0, 1))], "gate 'u' takes 1 operand(s), got (0, 1)"),
+        (3, [("h", (0,)), ("cx", (1, 2)), ("h", (-1,))], "gate 2 operand -1 outside 0..2"),
     ]
     for num_qubits, ops, message in cases:
         with pytest.raises(ValueError) as err:

@@ -14,12 +14,12 @@ from oracles import (
     random_circuit,
 )
 from qnocsim.benchgen import CrMode, SynthSpec, gen_qft, gen_synthetic
-from qnocsim.circuit import Circuit, depth
+from qnocsim.circuit import Circuit, Gate, depth
 from qnocsim.engine import SimConfig, audit_resources, run
 from qnocsim.experiment import RunPoint, paired_reductions, row_for
 from qnocsim.placement import CapacityError
 from qnocsim.protocol import TimingConfig
-from qnocsim.strategy import plan_twt
+from qnocsim.strategy import plan_hh, plan_twt
 from qnocsim.topology import MeshTopology
 
 MESH = MeshTopology(4, 4)
@@ -178,6 +178,61 @@ def test_doubling_every_duration_doubles_the_delays_exactly():
             assert getattr(scaled, name) == getattr(base, name), (case, name)
         cases += 1
     assert cases == 1200
+
+
+def _mirror_core(mesh, axis):
+    """core -> its image when the mesh is mirrored in x or in y."""
+    w, h = mesh.width, mesh.height
+    return [(w - 1 - x if axis == "x" else x) + (h - 1 - y if axis == "y" else y) * w
+            for x, y in (mesh.coord_of(core) for core in range(mesh.num_cores))]
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_mirroring_the_mesh_mirrors_the_run(axis):
+    """Mirror symmetry: relabelling every qubit onto the mirrored core, in the
+    same slot, mirrors each hop's cores and qubit and changes nothing else.
+    XY routing, both planners, FIFO ties (gate, chain, hop) and relocation
+    order never look at a core id's value, so no aggregate and no time moves."""
+    aggregates = ("total_delay", "comm_delay_sum", "comm_delay_critical", "original_depth", "expanded_depth",
+                  "inter_core_requests", "congestion_events", "max_core_occupancy")
+    meshes = [MeshTopology(2, 2), MeshTopology(3, 3), MeshTopology(4, 1), MeshTopology(1, 4), MeshTopology(4, 3)]
+    cases = 0
+    for mesh, n, m, p_bsm, pipelined, strategy, seed in itertools.product(
+        meshes, (1, 2, 3), (1, 2), (1.0, 0.5), (False, True), ("hh", "twt"), range(1, 6)
+    ):
+        core = _mirror_core(mesh, axis)
+        qubit = [core[q // n] * n + q % n for q in range(mesh.num_cores * n)]
+        circuit = random_circuit(mesh.num_cores * n, 30, seed)
+        image = Circuit(circuit.num_qubits,
+                        tuple(Gate(gate.name, tuple(qubit[q] for q in gate.qubits)) for gate in circuit.gates))
+        cfg = SimConfig(topology=mesh, n_per_core=n, m_per_core=m, timing=TimingConfig(p_bsm=p_bsm),
+                        strategy=strategy, seed=seed, pipeline_hops=pipelined)
+        base, mirrored = run(circuit, cfg), run(image, cfg)
+        case = (mesh.width, mesh.height, n, m, p_bsm, pipelined, strategy, seed)
+        for name in aggregates:
+            assert getattr(mirrored, name) == getattr(base, name), (case, name)
+        assert all(mirrored.final_placement[qubit[q]] == core[c] for q, c in enumerate(base.final_placement)), case
+        assert len(mirrored.hops) == len(base.hops), case
+        for i, (hop, hop_image) in enumerate(zip(base.hops, mirrored.hops)):
+            assert (hop_image.gate_id, hop_image.chain, hop_image.hop_index, hop_image.attempts,
+                    hop_image.start, hop_image.finish) == (
+                hop.gate_id, hop.chain, hop.hop_index, hop.attempts, hop.start, hop.finish), (case, i)
+            assert (hop_image.qubit, hop_image.src_core, hop_image.dst_core) == (
+                qubit[hop.qubit], core[hop.src_core], core[hop.dst_core]), (case, i)
+        cases += 1
+    assert cases == 1200
+
+
+def test_transposing_a_square_mesh_changes_an_hh_route():
+    """Swapping x and y is no symmetry of XY routing, which corrects x first:
+    on 3x3 some hh route is not the transpose of the transposed pair's route."""
+    mesh = MeshTopology(3, 3)
+    transpose = [x * mesh.width + y for x, y in (mesh.coord_of(core) for core in range(mesh.num_cores))]
+    route = plan_hh(mesh, 0, 8).src_hops
+    assert route == (1, 2, 5, 8)
+    assert tuple(transpose[c] for c in route) == (3, 6, 7, 8) != plan_hh(mesh, transpose[0], transpose[8]).src_hops
+    report = run(Circuit.from_ops(9, [("cx", (0, 8))]), cfg_for("hh", mesh=mesh))
+    assert tuple(hop.dst_core for hop in report.hops) == route
 
 
 # The engine's mean latency over seeds 0..SEEDS-1 for one uncontended request

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from qnocsim.placement import CapacityError, PlacementMap
@@ -94,3 +97,13 @@ def test_replaying_a_relocation_log_reproduces_the_map():
     flags_second = [second.relocate(q, c) for q, c in log]
     assert flags_first == flags_second
     assert [first.core_of(q) for q in range(12)] == [second.core_of(q) for q in range(12)]
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))], ids=["deepcopy", "pickle"])
+def test_a_copied_map_looks_up_its_own_qubits(clone):
+    original = PlacementMap.initial_mapping(4, MESH, 1)
+    copied = clone(original)
+    copied.relocate(0, 5)
+    assert (copied.core_of(0), original.core_of(0)) == (5, 0)
+    with pytest.raises(IndexError):
+        copied.core_of(4)

@@ -260,6 +260,27 @@ def test_reading_hops_then_requests_replays_the_run_once(monkeypatch):
     assert tuple(report.hops) == tuple(run(CIRCUIT, LOSSY).hops)
 
 
+def test_repr_names_the_totals_and_replays_nothing(monkeypatch):
+    simulate, calls = engine._simulate, []
+
+    def counting(circuit, cfg, logs):
+        calls.append(logs is not None)
+        return simulate(circuit, cfg, logs)
+
+    monkeypatch.setattr(engine, "_simulate", counting)
+    report = run(CIRCUIT, LOSSY)
+    text = repr(report)
+    assert calls == [False]
+    assert text.startswith("SimReport(total_delay=")
+    for name in ("total_delay", "comm_delay_sum", "comm_delay_critical", "expanded_depth",
+                 "inter_core_requests", "congestion_events", "final_placement"):
+        assert f"{name}={getattr(report, name)!r}" in text
+    assert "HopRecord" not in text and "RequestRecord" not in text and "hops=" not in text
+    assert report == dataclasses.replace(report) and calls == [False]
+    assert report != dataclasses.replace(report, hops=report.hops[1:])  # equality still reads the records
+    assert calls == [False, True]
+
+
 def test_a_replay_that_disagrees_with_the_report_raises(monkeypatch):
     """A patched engine global restored before the first read changes the
     replay; the view raises rather than return a log that disagrees with the totals."""
