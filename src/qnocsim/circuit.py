@@ -24,11 +24,14 @@ _ARITY = {"h": 1, "u": 1, "cx": 2}
 
 
 class ParseError(ValueError):
-    """Malformed or invalid circuit document."""
+    """Malformed or invalid circuit document. reason is the message without
+    its lead, which names the file (source) and the line where known."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
+    def __init__(self, message: str, line: int | None = None, source: str | None = None):
+        self.line, self.reason = line, message
+        if source is not None:
+            message = f"{source}: {message}" if line is None else f"{source}:{line}: {message}"
+        elif line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
 

@@ -231,20 +231,17 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) 
     relocation_order = itemgetter(8, 0, 1, 2)  # (finish, gate_id, chain, hop_index): qubits move as their hops finish
 
     for layer in layers:
-        has_local = False  # a gate that needs no teleport finishes at now + t_gate
         pending = []  # one _drain_hops heap entry per hop chain
         requests = []  # (gate_id, src_core, dst_core, distance, rounds, attempts), until the record is built
         for gate_id in layer:
             qubits = gates[gate_id].qubits
             if len(qubits) == 1:  # Circuit has checked every gate's arity
-                has_local = True
                 level[qubits[0]] += 1
                 continue
             q_src, q_dst = qubits
             src_core = core_of(q_src)
             dst_core = core_of(q_dst)
             if src_core == dst_core:
-                has_local = True
                 gate_level = level[q_src]
                 if level[q_dst] > gate_level:
                     gate_level = level[q_dst]
@@ -268,7 +265,7 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) 
             distance = topo.hop_distance(src_core, dst_core)
             requests.append((gate_id, src_core, dst_core, distance, comm_plan.rounds, request_attempts))
 
-        layer_end = now + t_gate if has_local else now  # t_gate >= 0, so this is max(now, now + t_gate)
+        layer_end = now + t_gate  # every gate ends here or later: a request arrives at now or later
         hop_rows: list[tuple] = []  # HopRecord fields, one tuple per hop, in grant order
         _drain_hops(cfg, pending, hop_rows)
         if logs is not None:

@@ -28,7 +28,7 @@ import os
 from dataclasses import dataclass, replace
 
 from .benchgen import CrMode, SynthSpec, gen_cuccaro, gen_mcmt, gen_qft, gen_quantum_volume, gen_synthetic
-from .circuit import Circuit, parse_circuit
+from .circuit import Circuit, ParseError, parse_circuit
 from .engine import SimConfig, SimReport, run
 from .protocol import ProtocolError, TimingConfig
 from .strategy import STRATEGIES
@@ -297,7 +297,11 @@ def _runs(config, topology: MeshTopology):
         circuit, label = gen_quantum_volume(n, layers, _get_int(config, "qv.seed")), f"qv{n}x{layers}"
     elif os.path.exists(workload):
         with open(workload, "r", encoding="utf-8") as handle:
-            circuit = parse_circuit(handle.read())
+            text = handle.read()
+        try:
+            circuit = parse_circuit(text)
+        except ParseError as error:
+            raise ParseError(error.reason, error.line, workload) from None
         label = os.path.splitext(os.path.basename(workload))[0]
     else:
         raise ConfigError(f"unknown workload {workload!r} (not a generator name or circuit file)")

@@ -145,7 +145,7 @@ u 2
 def test_parse_rejects_out_of_range_operand():
     with pytest.raises(ParseError) as err:
         parse_circuit("qubits 2\ncx 0 2\n")
-    assert err.value.line == 2
+    assert (err.value.line, str(err.value)) == (2, "line 2: operand 2 outside 0..1")
 
 
 def test_parse_rejects_malformed_lines():

@@ -1,4 +1,3 @@
-import itertools
 import math
 from dataclasses import replace
 
@@ -155,60 +154,35 @@ def test_expanded_depth_does_not_depend_on_timing_resources_or_seed():
     assert depths.pop() > depth(c)
 
 
-def test_doubling_every_duration_doubles_the_delays_exactly():
+def test_doubling_every_duration_doubles_the_delays_exactly(grid):
     """Time scaling: every time is a sum of durations and attempt multiples,
     and doubling is exact in binary floating point, so the delays double
     exactly; depth, relocations and placement do not depend on time at all."""
-    timing = TimingConfig(t_epr=0.1, t_meas=1 / 3, t_classical=0.7, t_correct=0.05, t_gate=0.3)
-    doubled = {name: 2 * getattr(timing, name) for name in ("t_epr", "t_meas", "t_classical", "t_correct", "t_gate")}
-    meshes = [MeshTopology(2, 2), MeshTopology(3, 3), MeshTopology(4, 1), MeshTopology(1, 4), MeshTopology(4, 3)]
-    cases = 0
-    for mesh, n, m, p_bsm, pipelined, strategy, seed in itertools.product(
-        meshes, (1, 2, 3), (1, 2), (1.0, 0.5), (False, True), ("hh", "twt"), range(1, 6)
-    ):
-        circuit = random_circuit(mesh.num_cores * n, 30, seed)
-        cfg = SimConfig(topology=mesh, n_per_core=n, m_per_core=m, timing=replace(timing, p_bsm=p_bsm),
-                        strategy=strategy, seed=seed, pipeline_hops=pipelined)
-        base = run(circuit, cfg)
-        scaled = run(circuit, replace(cfg, timing=replace(cfg.timing, **doubled)))
-        case = (mesh.width, mesh.height, n, m, p_bsm, pipelined, strategy, seed)
+    durations = ("t_epr", "t_meas", "t_classical", "t_correct", "t_gate")
+    for case, circuit, cfg, base in grid:
+        doubled = replace(cfg.timing, **{name: 2 * getattr(cfg.timing, name) for name in durations})
+        scaled = run(circuit, replace(cfg, timing=doubled))
         for name in ("total_delay", "comm_delay_sum", "comm_delay_critical"):
             assert getattr(scaled, name) == 2 * getattr(base, name), (case, name)
         for name in ("expanded_depth", "congestion_events", "final_placement"):
             assert getattr(scaled, name) == getattr(base, name), (case, name)
-        cases += 1
-    assert cases == 1200
-
-
-def _mirror_core(mesh, axis):
-    """core -> its image when the mesh is mirrored in x or in y."""
-    w, h = mesh.width, mesh.height
-    return [(w - 1 - x if axis == "x" else x) + (h - 1 - y if axis == "y" else y) * w
-            for x, y in (mesh.coord_of(core) for core in range(mesh.num_cores))]
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
-def test_mirroring_the_mesh_mirrors_the_run(axis):
+def test_mirroring_the_mesh_mirrors_the_run(axis, grid):
     """Mirror symmetry: relabelling every qubit onto the mirrored core, in the
     same slot, mirrors each hop's cores and qubit and changes nothing else.
     XY routing, both planners, FIFO ties (gate, chain, hop) and relocation
     order never look at a core id's value, so no aggregate and no time moves."""
     aggregates = ("total_delay", "comm_delay_sum", "comm_delay_critical", "original_depth", "expanded_depth",
                   "inter_core_requests", "congestion_events", "max_core_occupancy")
-    meshes = [MeshTopology(2, 2), MeshTopology(3, 3), MeshTopology(4, 1), MeshTopology(1, 4), MeshTopology(4, 3)]
-    cases = 0
-    for mesh, n, m, p_bsm, pipelined, strategy, seed in itertools.product(
-        meshes, (1, 2, 3), (1, 2), (1.0, 0.5), (False, True), ("hh", "twt"), range(1, 6)
-    ):
-        core = _mirror_core(mesh, axis)
-        qubit = [core[q // n] * n + q % n for q in range(mesh.num_cores * n)]
-        circuit = random_circuit(mesh.num_cores * n, 30, seed)
-        image = Circuit(circuit.num_qubits,
-                        tuple(Gate(gate.name, tuple(qubit[q] for q in gate.qubits)) for gate in circuit.gates))
-        cfg = SimConfig(topology=mesh, n_per_core=n, m_per_core=m, timing=TimingConfig(p_bsm=p_bsm),
-                        strategy=strategy, seed=seed, pipeline_hops=pipelined)
-        base, mirrored = run(circuit, cfg), run(image, cfg)
-        case = (mesh.width, mesh.height, n, m, p_bsm, pipelined, strategy, seed)
+    for case, circuit, cfg, base in grid:
+        w, h, n = cfg.topology.width, cfg.topology.height, cfg.n_per_core
+        core = [(w - 1 - x if axis == "x" else x) + (h - 1 - y if axis == "y" else y) * w  # core -> its image
+                for x, y in map(cfg.topology.coord_of, range(w * h))]
+        qubit = [core[q // n] * n + q % n for q in range(w * h * n)]
+        image = tuple(Gate(gate.name, tuple(qubit[q] for q in gate.qubits)) for gate in circuit.gates)
+        mirrored = run(Circuit(circuit.num_qubits, image), cfg)
         for name in aggregates:
             assert getattr(mirrored, name) == getattr(base, name), (case, name)
         assert all(mirrored.final_placement[qubit[q]] == core[c] for q, c in enumerate(base.final_placement)), case
@@ -219,8 +193,30 @@ def test_mirroring_the_mesh_mirrors_the_run(axis):
                 hop.gate_id, hop.chain, hop.hop_index, hop.attempts, hop.start, hop.finish), (case, i)
             assert (hop_image.qubit, hop_image.src_core, hop_image.dst_core) == (
                 qubit[hop.qubit], core[hop.src_core], core[hop.dst_core]), (case, i)
-        cases += 1
-    assert cases == 1200
+
+
+def test_a_lossless_run_does_not_depend_on_the_seed(grid):
+    """At p_bsm 1 every hop takes one attempt and no chain draws from its
+    stream, so another sim.seed gives an equal report, records included."""
+    lossless = [(case, circuit, cfg, base) for case, circuit, cfg, base in grid if cfg.timing.p_bsm == 1]
+    assert len(lossless) == 600
+    for case, circuit, cfg, base in lossless:
+        assert run(circuit, replace(cfg, seed=cfg.seed + 100)) == base, case
+
+
+def test_swapping_two_qubits_on_one_core_changes_only_their_hop_labels(grid):
+    """Qubits 0 and 1 both start on core 0. Granting, relocation and
+    congestion never look at a qubit id's value, so swapping the two changes
+    each hop's qubit and permutes the final placement, and nothing else:
+    every aggregate, request record and hop time, core and attempt count."""
+    crowded = [(case, circuit, cfg, base) for case, circuit, cfg, base in grid if cfg.n_per_core >= 2]
+    assert len(crowded) == 800
+    for case, circuit, cfg, base in crowded:
+        swap = [1, 0, *range(2, circuit.num_qubits)]
+        image = tuple(Gate(gate.name, tuple(swap[q] for q in gate.qubits)) for gate in circuit.gates)
+        expected = replace(base, hops=tuple(replace(hop, qubit=swap[hop.qubit]) for hop in base.hops),
+                           final_placement=tuple(base.final_placement[q] for q in swap))
+        assert run(Circuit(circuit.num_qubits, image), cfg) == expected, case
 
 
 def test_transposing_a_square_mesh_changes_an_hh_route():
@@ -258,7 +254,10 @@ def test_uncontended_latency_mean_matches_exact_negative_binomial(p_bsm, dst):
     }
     for strategy, pmf in exact.items():
         mean, var = pmf_mean_var(pmf)
-        latencies = [run(c, cfg_for(strategy, seed=seed, p_bsm=p_bsm)).requests[0].latency for seed in range(SEEDS)]
+        reports = [run(c, cfg_for(strategy, seed=seed, p_bsm=p_bsm)) for seed in range(SEEDS)]
+        # With one request the delay sum is its latency, and reading it replays nothing.
+        assert reports[0].comm_delay_sum == reports[0].requests[0].latency, strategy
+        latencies = [report.comm_delay_sum for report in reports]
         bound = Z * math.sqrt(var / SEEDS)
         assert abs(math.fsum(latencies) / SEEDS - mean) <= bound, (strategy, mean, bound)
 

@@ -437,6 +437,18 @@ def test_pipeline_flag_reaches_the_engine_config(tmp_path):
     assert all(p.cfg.pipeline_hops for p in points)
 
 
+@pytest.mark.parametrize("command", ["run", "gen"])
+@pytest.mark.parametrize("text, message", [
+    ("qubits 4\ncx 0 9\n", "error: bad.qc:2: operand 9 outside 0..3"),
+    ("", "error: bad.qc: missing qubits header"),
+])
+def test_cli_circuit_file_errors_name_the_file_and_line(command, text, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.qc").write_text(text)
+    assert cli.main([command, "--workload", "bad.qc", "--out", "out"]) == 1
+    assert capsys.readouterr().err.strip() == message
+
+
 def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
     code = cli.main(["run", "--workload", "fft", "--out", str(tmp_path)])
     assert code == 1
