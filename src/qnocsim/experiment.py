@@ -108,8 +108,17 @@ def parse_config(text: str, source: str = "<config>") -> dict[str, str]:
 
 
 def load_config(path: str) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read(), source=path)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as error:
+        raise ConfigError(f"{path}: {_not_utf8(error)}") from None
+    return parse_config(text, source=path)
+
+
+def _not_utf8(error: UnicodeDecodeError) -> str:
+    """The reason a file failed to decode, without the offset, which counts from the decoded chunk."""
+    return f"not UTF-8: byte 0x{error.object[error.start]:02x} ({error.reason})"
 
 
 def merge_config(*layers: dict[str, str]) -> dict[str, str]:
@@ -296,10 +305,11 @@ def _runs(config, topology: MeshTopology):
         layers = _get_int(config, "qv.layers", 1)
         circuit, label = gen_quantum_volume(n, layers, _get_int(config, "qv.seed")), f"qv{n}x{layers}"
     elif os.path.exists(workload):
-        with open(workload, "r", encoding="utf-8") as handle:
-            text = handle.read()
         try:
-            circuit = parse_circuit(text)
+            with open(workload, "r", encoding="utf-8") as handle:
+                circuit = parse_circuit(handle.read())
+        except UnicodeDecodeError as error:
+            raise ParseError(_not_utf8(error), None, workload) from None
         except ParseError as error:
             raise ParseError(error.reason, error.line, workload) from None
         label = os.path.splitext(os.path.basename(workload))[0]
@@ -511,6 +521,8 @@ def read_rows(csv_path: str) -> list[dict]:
             return rows
         except csv.Error as error:  # such as a field over csv.field_size_limit(); reader.line_num lags a failed line
             raise ValueError(f"{csv_path}:{reader.reader.line_num}: {error}") from None
+        except UnicodeDecodeError as error:  # the file decodes a chunk at a time, ahead of the lines read
+            raise ValueError(f"{csv_path}: {_not_utf8(error)}") from None
 
 
 def _means(pairs) -> dict:

@@ -441,10 +441,11 @@ def test_pipeline_flag_reaches_the_engine_config(tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("qubits 4\ncx 0 9\n", "error: bad.qc:2: operand 9 outside 0..3"),
     ("", "error: bad.qc: missing qubits header"),
+    (b"qubits 2\n\xff\n", "error: bad.qc: not UTF-8: byte 0xff (invalid start byte)"),
 ])
 def test_cli_circuit_file_errors_name_the_file_and_line(command, text, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    Path("bad.qc").write_text(text)
+    Path("bad.qc").write_bytes(text if isinstance(text, bytes) else text.encode())
     assert cli.main([command, "--workload", "bad.qc", "--out", "out"]) == 1
     assert capsys.readouterr().err.strip() == message
 
@@ -453,6 +454,10 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
     code = cli.main(["run", "--workload", "fft", "--out", str(tmp_path)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    undecodable = tmp_path / "bin.csv"
+    undecodable.write_bytes(b"workload,strategy\n\xff\n")
+    assert cli.main(["plotdata", str(undecodable), "--out", str(tmp_path / "plots")]) == 1
+    assert capsys.readouterr().err == f"error: {undecodable}: not UTF-8: byte 0xff (invalid start byte)\n"
     code = cli.main(["plotdata", str(tmp_path / "missing.csv")])
     assert code == 1
     code = cli.main(["run", "--workload", "qft", "--set", "timing.t_epr=nan", "--out", str(tmp_path)])
@@ -495,6 +500,8 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
     assert "unknown config key 'synthetic.cr'" in capsys.readouterr().err
     big = tmp_path / "big.qc"
     big.write_text("qubits 40\ncx 0 39\n")
+    undecodable = tmp_path / "bin.cfg"
+    undecodable.write_bytes(b"workload = qft\n\xff\n")
     for flags, message in (
         (["--workload", "synthetic", "--requests", "4", "--depth", "0"],
          "synthetic.depth: expected a positive integer, got 0"),
@@ -515,6 +522,7 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
         (["--workload", "qft", "--set", "qft.qubits=40"],
          "sim.n_per_core: qft40 (workload 'qft') has 40 qubits, more than 16 cores x 2"),
         (["--workload", str(big)], f"sim.n_per_core: big (workload '{big}') has 40 qubits, more than 16 cores x 2"),
+        (["--config", str(undecodable)], f"{undecodable}: not UTF-8: byte 0xff (invalid start byte)"),
         # each generator range error names its config key
         (["--workload", "qv", "--set", "qv.layers=0"], "qv.layers: expected a positive integer, got 0"),
         (["--workload", "qv", "--set", "qv.qubits=1"], "qv.qubits: expected an integer of at least 2, got 1"),

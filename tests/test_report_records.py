@@ -51,33 +51,6 @@ def log_digest(records) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
-CONTENDED_CIRCUIT = gen_synthetic(
-    SynthSpec(target_depth=5, requests_per_layer=6, cr_mode=CrMode("random", 6), seed=8), MESH, 8
-)
-
-
-@pytest.mark.parametrize("pipeline_hops", [False, True], ids=["sequential", "pipelined"])
-@pytest.mark.parametrize("p_bsm", [1.0, 0.5])
-@pytest.mark.parametrize("m_per_core", [1, 2])
-@pytest.mark.parametrize("strategy", ["hh", "twt"])
-def test_request_records_agree_with_the_hop_log(strategy, m_per_core, p_bsm, pipeline_hops):
-    cfg = SimConfig(topology=MESH, n_per_core=8, m_per_core=m_per_core, timing=TimingConfig(p_bsm=p_bsm),
-                    strategy=strategy, seed=8, pipeline_hops=pipeline_hops)
-    report = run(CONTENDED_CIRCUIT, cfg)
-    hops_of: dict[int, list[HopRecord]] = {}
-    for hop in report.hops:
-        hops_of.setdefault(hop.gate_id, []).append(hop)
-        assert hop.link == MESH.bsm_link_between(hop.src_core, hop.dst_core)  # derived from the two cores
-    assert sorted(hops_of) == sorted(request.gate_id for request in report.requests)
-    issue = {request.gate_id: request.issue for request in report.requests}
-    assert any(hop.hop_index == 0 and hop.start > issue[hop.gate_id] for hop in report.hops)  # contended
-    for request in report.requests:
-        hops = hops_of[request.gate_id]
-        assert request.attempts == sum(hop.attempts for hop in hops)
-        assert request.arrival == max(hop.finish for hop in hops)
-        assert request.issue <= min(hop.start for hop in hops)
-
-
 @pytest.mark.parametrize("name", sorted(EAGER_LOGS))
 def test_records_iterate_in_the_eager_order(name):
     cfg, hops, requests, hop_digest, request_digest = EAGER_LOGS[name]
@@ -162,9 +135,21 @@ def test_a_clashing_hop_appended_to_a_report_fails_the_audit():
     assert audit_resources(dataclasses.replace(report, hops=report.hops + (clash,)), cfg)
 
 
-def test_run_builds_records_only_when_they_are_read(monkeypatch):
+@pytest.fixture
+def replays(monkeypatch):
+    """Whether each engine._simulate call logs: False for a run, True for a replay."""
+    simulate, calls = engine._simulate, []
+
+    def counting(circuit, cfg, logs):
+        calls.append(logs is not None)
+        return simulate(circuit, cfg, logs)
+
+    monkeypatch.setattr(engine, "_simulate", counting)
+    return calls
+
+
+def test_run_builds_records_only_when_they_are_read(monkeypatch, replays):
     built = {"hops": 0, "requests": 0}
-    simulate, replays = engine._simulate, []
 
     def counting(record_cls, key):
         class Counting(record_cls):
@@ -176,13 +161,8 @@ def test_run_builds_records_only_when_they_are_read(monkeypatch):
 
         return Counting
 
-    def logging_runs(circuit, cfg, logs):
-        replays.append(logs is not None)
-        return simulate(circuit, cfg, logs)
-
     monkeypatch.setattr(engine, "HopRecord", counting(HopRecord, "hops"))
     monkeypatch.setattr(engine, "RequestRecord", counting(RequestRecord, "requests"))
-    monkeypatch.setattr(engine, "_simulate", logging_runs)
     first_reads = {
         "len": lambda report: len(report.requests),
         "index": lambda report: report.hops[0],
@@ -203,32 +183,16 @@ def test_run_builds_records_only_when_they_are_read(monkeypatch):
         assert (built, replays) == ({"hops": 48, "requests": 15}, [False, True]), name
 
 
-def test_an_unread_report_holds_under_100_bytes_per_hop():
-    """The hop log is most of a large run's memory, and an unread report
-    holds none of it."""
-    circuit = gen_quantum_volume(256, 10, seed=1)
-    cfg = SimConfig(topology=MeshTopology(8, 8), n_per_core=4, m_per_core=1, timing=TimingConfig(p_bsm=0.5))
-    circuit.layers  # cached on the circuit, so not counted against the report
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        report = run(circuit, cfg)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    hops = len(report.hops)  # a failed assert on report.hops would print, and so build, every record
-    assert hops >= 5000
-    assert held / hops < 100
-
-
 def test_an_unread_report_holds_no_memory_per_hop():
-    """run keeps no hop or request log, so what an unread report holds does
-    not grow with its hop count; the margin covers the interpreter's free lists."""
+    """The hop log is most of a large run's memory, and run keeps no hop or
+    request log: an unread report holds under 100 bytes per hop, and what it
+    holds does not grow with its hop count; the margin covers the
+    interpreter's free lists."""
     cfg = SimConfig(topology=MeshTopology(8, 8), n_per_core=4, m_per_core=1, timing=TimingConfig(p_bsm=0.5))
     circuits = {layers: gen_quantum_volume(256, layers, seed=1) for layers in (10, 40)}
     for circuit in circuits.values():
         circuit.layers  # cached on the circuit, so not counted against the report
-    run(circuits[10], cfg)  # the mesh's lookup tables are filled on first use
+    run(circuits[10], cfg)  # fills the free lists of tuples and floats, which tracemalloc counts as held
     held, hops = {}, {}
     for layers, circuit in circuits.items():
         tracemalloc.start()
@@ -240,45 +204,32 @@ def test_an_unread_report_holds_no_memory_per_hop():
             tracemalloc.stop()
         hops[layers] = len(report.hops)
         del report
+    assert hops[10] >= 5000 and held[10] / hops[10] < 100
     assert hops[40] - hops[10] > 15_000
     assert held[40] - held[10] < 32 * 1024
 
 
-def test_reading_hops_then_requests_replays_the_run_once(monkeypatch):
-    simulate, calls = engine._simulate, []
-
-    def counting(circuit, cfg, logs):
-        calls.append(logs is not None)
-        return simulate(circuit, cfg, logs)
-
-    monkeypatch.setattr(engine, "_simulate", counting)
+def test_reading_hops_then_requests_replays_the_run_once(replays):
     report = run(CIRCUIT, LOSSY)
-    assert calls == [False]
-    assert len(report.hops) == 48 and len(report.requests) == 15 and calls == [False, True]
-    assert report.hops[0].gate_id == 0 and calls == [False, True]
-    assert report.requests[-1].arrival <= report.total_delay and calls == [False, True]
+    assert replays == [False]
+    assert len(report.hops) == 48 and len(report.requests) == 15 and replays == [False, True]
+    assert report.hops[0].gate_id == 0 and replays == [False, True]
+    assert report.requests[-1].arrival <= report.total_delay and replays == [False, True]
     assert tuple(report.hops) == tuple(run(CIRCUIT, LOSSY).hops)
 
 
-def test_repr_names_the_totals_and_replays_nothing(monkeypatch):
-    simulate, calls = engine._simulate, []
-
-    def counting(circuit, cfg, logs):
-        calls.append(logs is not None)
-        return simulate(circuit, cfg, logs)
-
-    monkeypatch.setattr(engine, "_simulate", counting)
+def test_repr_names_the_totals_and_replays_nothing(replays):
     report = run(CIRCUIT, LOSSY)
     text = repr(report)
-    assert calls == [False]
+    assert replays == [False]
     assert text.startswith("SimReport(total_delay=")
     for name in ("total_delay", "comm_delay_sum", "comm_delay_critical", "expanded_depth",
                  "inter_core_requests", "congestion_events", "final_placement"):
         assert f"{name}={getattr(report, name)!r}" in text
     assert "HopRecord" not in text and "RequestRecord" not in text and "hops=" not in text
-    assert report == dataclasses.replace(report) and calls == [False]
+    assert report == dataclasses.replace(report) and replays == [False]
     assert report != dataclasses.replace(report, hops=report.hops[1:])  # equality still reads the records
-    assert calls == [False, True]
+    assert replays == [False, True]
 
 
 def test_a_replay_that_disagrees_with_the_report_raises(monkeypatch):
