@@ -51,6 +51,33 @@ def log_digest(records) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
+@pytest.mark.parametrize("pipeline_hops", [False, True], ids=["sequential", "pipelined"])
+@pytest.mark.parametrize("p_bsm", [1.0, 0.5])
+@pytest.mark.parametrize("m_per_core", [1, 2])
+@pytest.mark.parametrize("strategy", ["hh", "twt"])
+def test_request_records_agree_with_the_hop_log(strategy, m_per_core, p_bsm, pipeline_hops, grid):
+    """On the grid's 75 runs of this slice, a hop's link is the one between
+    its cores, and a request's attempts, arrival and issue agree with its
+    hops; some first hop waits on a busy resource, so the issue check is not vacuous."""
+    point = (m_per_core, p_bsm, pipeline_hops, strategy)
+    runs = [(case, cfg, report) for case, _, cfg, report in grid if case[3:7] == point]
+    assert len(runs) == 75
+    contended = False
+    for case, cfg, report in runs:
+        hops_of: dict[int, list[HopRecord]] = {}
+        for hop in report.hops:
+            hops_of.setdefault(hop.gate_id, []).append(hop)
+            assert hop.link == cfg.topology.bsm_link_between(hop.src_core, hop.dst_core), case
+        assert sorted(hops_of) == sorted(request.gate_id for request in report.requests), case
+        for request in report.requests:
+            hops = hops_of[request.gate_id]
+            assert request.attempts == sum(hop.attempts for hop in hops), case
+            assert request.arrival == max(hop.finish for hop in hops), case
+            assert request.issue <= min(hop.start for hop in hops), case
+            contended |= any(hop.hop_index == 0 and hop.start > request.issue for hop in hops)
+    assert contended
+
+
 @pytest.mark.parametrize("name", sorted(EAGER_LOGS))
 def test_records_iterate_in_the_eager_order(name):
     cfg, hops, requests, hop_digest, request_digest = EAGER_LOGS[name]
@@ -183,11 +210,10 @@ def test_run_builds_records_only_when_they_are_read(monkeypatch, replays):
         assert (built, replays) == ({"hops": 48, "requests": 15}, [False, True]), name
 
 
-def test_an_unread_report_holds_no_memory_per_hop():
-    """The hop log is most of a large run's memory, and run keeps no hop or
-    request log: an unread report holds under 100 bytes per hop, and what it
-    holds does not grow with its hop count; the margin covers the
-    interpreter's free lists."""
+@pytest.fixture(scope="module")
+def unread_qv_reports():
+    """Bytes held by, and hop count of, an unread report of a qv 256-qubit run
+    of 10 and of 40 layers, keyed by layers."""
     cfg = SimConfig(topology=MeshTopology(8, 8), n_per_core=4, m_per_core=1, timing=TimingConfig(p_bsm=0.5))
     circuits = {layers: gen_quantum_volume(256, layers, seed=1) for layers in (10, 40)}
     for circuit in circuits.values():
@@ -204,7 +230,21 @@ def test_an_unread_report_holds_no_memory_per_hop():
             tracemalloc.stop()
         hops[layers] = len(report.hops)
         del report
-    assert hops[10] >= 5000 and held[10] / hops[10] < 100
+    return held, hops
+
+
+def test_an_unread_report_holds_under_100_bytes_per_hop(unread_qv_reports):
+    """The hop log is most of a large run's memory, and an unread report
+    holds none of it."""
+    held, hops = unread_qv_reports
+    assert hops[10] >= 5000
+    assert held[10] / hops[10] < 100
+
+
+def test_an_unread_report_holds_no_memory_per_hop(unread_qv_reports):
+    """run keeps no hop or request log, so what an unread report holds does
+    not grow with its hop count; the margin covers the interpreter's free lists."""
+    held, hops = unread_qv_reports
     assert hops[40] - hops[10] > 15_000
     assert held[40] - held[10] < 32 * 1024
 
