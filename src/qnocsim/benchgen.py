@@ -142,9 +142,11 @@ def _build_synthetic(spec, topology, qubits_per_core, rng):
     ops = []
     chains: list[tuple[int, int, int]] = []  # per slot: (qubit, home core, core under two-way)
     radii = [spec.cr_mode.radius] if spec.cr_mode.kind == "fixed" else range(1, spec.cr_mode.radius + 1)
+    ring = topology.ring
     for _slot in range(spec.requests_per_layer):
         src_candidates = [
-            c for c in range(topology.num_cores) if free[c] > 0 and any(cores_at(c, r, None) for r in radii)
+            c for c in range(topology.num_cores)
+            if free[c] > 0 and any(free[p] > 0 for r in radii for p in ring(c, r))
         ]
         if not src_candidates:
             raise _BuildFailed("no source core with a reachable partner left")

@@ -304,7 +304,7 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) 
         inter_core_requests=inter_core_requests,
         congestion_events=congestion_events,
         max_core_occupancy=max_occupancy,
-        final_placement=tuple(placement.core_of(q) for q in range(circuit.num_qubits)),
+        final_placement=tuple(map(core_of, range(circuit.num_qubits))),
     )
 
 

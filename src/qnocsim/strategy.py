@@ -61,4 +61,9 @@ def _split(route: list[int], meet: int) -> CommPlan:
     """The source walks route up to index meet; the destination walks back down to it."""
     if len(route) == 1:
         raise ValueError("operands share a core; no communication plan applies")
-    return CommPlan(src_hops=tuple(route[1 : meet + 1]), dst_hops=tuple(reversed(route[meet:-1])), exec_core=route[meet])
+    # dst_hops is route[meet:-1] reversed; the negative stop keeps index 0 when meet is 0.
+    return CommPlan(
+        src_hops=tuple(route[1 : meet + 1]),
+        dst_hops=tuple(route[-2 : meet - len(route) - 1 : -1]),
+        exec_core=route[meet],
+    )

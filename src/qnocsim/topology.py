@@ -5,7 +5,8 @@ at (0, 0). Every pair of adjacent cores shares one Bell-state-measurement
 (BSM) node, identified by the canonical (low, high) core-id pair. Routes
 follow deterministic XY routing: correct the x coordinate first, then y.
 Instances are immutable after construction and safe to share; each builds
-its coordinate and link tables once.
+its coordinate and link tables once, and each ring (the cores at a given hop
+distance from an origin) on first use.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ class MeshTopology:
                 links[core, below] = links[below, core] = (core, below)
         object.__setattr__(self, "_coords", coords)  # core id -> (x, y)
         object.__setattr__(self, "_links", links)  # (a, b) and (b, a) -> canonical link id
+        object.__setattr__(self, "_rings", {})  # (origin, radius) -> ring, filled by ring()
 
     @property
     def num_cores(self) -> int:
@@ -66,22 +68,29 @@ class MeshTopology:
         (ax, ay), (bx, by) = coords[a], coords[b]
         return abs(ax - bx) + abs(ay - by)
 
-    def ring(self, origin: int, radius: int) -> list[int]:
+    def ring(self, origin: int, radius: int) -> tuple[int, ...]:
         """Cores exactly radius hops from origin, in ascending id order.
 
-        Built row by row: each row within radius of the origin holds at most
-        the two cores radius - |dy| columns to either side.
+        Built row by row on first use, then kept: each row within radius of
+        the origin holds at most the two cores radius - |dy| columns to
+        either side. An origin's rings partition the mesh, so the table
+        holds at most num_cores**2 core ids over every radius up to the
+        diameter.
         """
-        ox, oy = self.coord_of(origin)
-        width = self.width
-        ring = []
-        for y in range(max(0, oy - radius), min(self.height - 1, oy + radius) + 1):
-            dx = radius - abs(y - oy)
-            row = y * width
-            if ox - dx >= 0:
-                ring.append(row + ox - dx)
-            if dx and ox + dx < width:
-                ring.append(row + ox + dx)
+        key = (origin, radius)
+        ring = self._rings.get(key)
+        if ring is None:
+            ox, oy = self.coord_of(origin)
+            width = self.width
+            cores = []
+            for y in range(max(0, oy - radius), min(self.height - 1, oy + radius) + 1):
+                dx = radius - abs(y - oy)
+                row = y * width
+                if ox - dx >= 0:
+                    cores.append(row + ox - dx)
+                if dx and ox + dx < width:
+                    cores.append(row + ox + dx)
+            ring = self._rings[key] = tuple(cores)
         return ring
 
     def xy_route(self, src: int, dst: int) -> list[int]:

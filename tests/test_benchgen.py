@@ -115,6 +115,9 @@ PINNED_SYNTHETIC = [
     (8, 8, "random:14", 40, 16, 16, 1, "25e499bf8d92e71bcca049a80c960b86c9021cb7a96989b1bd79234e49bd6933"),
     (1, 6, "random:5", 6, 2, 8, 1, "0763b1040f37fc5d18c1f285ae72d77042b3e84c08f4ef1ecf74e9b3f6f6301f"),
     (6, 1, "fixed:2", 6, 2, 8, 1, "55f4d88602da41c9d55f6cee68716c34ef550169c8426d851e8aff2c880ba056"),
+    # One qubit per core: every core fills during the first layer, so the
+    # source scan must skip cores that have no free qubit left.
+    (2, 3, "random:3", 1, 3, 1, 1, "8e0ff25e84599766c2599fc55a8c6febc5402c1597f04c2e3fc3206fbac4106d"),
 ]
 
 

@@ -138,17 +138,40 @@ def test_rejects_degenerate_dimensions():
 
 @pytest.mark.parametrize("t", MESHES, ids=lambda t: f"{t.width}x{t.height}")
 def test_ring_matches_brute_force_filter(t):
-    for origin in range(t.num_cores):
-        for radius in range(t.diameter + 2):
-            expected = [c for c in range(t.num_cores) if t.hop_distance(origin, c) == radius]
-            assert t.ring(origin, radius) == expected
+    fresh = MeshTopology(t.width, t.height)  # an empty ring table, whatever earlier tests cached on t
+    for _table in ("cold", "warm"):
+        for origin in range(t.num_cores):
+            for radius in range(t.diameter + 2):
+                expected = tuple(c for c in range(t.num_cores) if t.hop_distance(origin, c) == radius)
+                assert fresh.ring(origin, radius) == expected
+
+
+def test_ring_cannot_be_mutated_into_a_later_answer():
+    t = MeshTopology(4, 4)
+    ring = t.ring(5, 1)
+    with pytest.raises(TypeError):
+        ring[0] = 15
+    ring += (15,)  # rebinds the caller's name only
+    assert t.ring(5, 1) == (1, 4, 6, 9)
+
+
+def test_equal_meshes_share_no_ring_table():
+    a, b = MeshTopology(4, 4), MeshTopology(4, 4)
+    assert a == b and a._rings is not b._rings
+    assert a.ring(0, 2) is a.ring(0, 2)
+    assert b._rings == {}
+    assert b.ring(0, 2) == a.ring(0, 2) and b.ring(0, 2) is not a.ring(0, 2)
 
 
 def test_ring_rejects_out_of_range_origin():
     t = MeshTopology(4, 4)
-    for origin in (-1, 16):
-        with pytest.raises(ValueError, match="outside"):
+    for _table in ("cold", "warm"):
+        for origin in (-1, 16):
+            with pytest.raises(ValueError, match="outside"):
+                t.ring(origin, 1)
+        for origin in range(t.num_cores):
             t.ring(origin, 1)
+    assert (-1, 1) not in t._rings
 
 
 @pytest.mark.parametrize("t", MESHES, ids=lambda t: f"{t.width}x{t.height}")
