@@ -217,13 +217,19 @@ def test_criterion_8_determinism_and_resource_audit(bundle, tmp_path):
     )
 
 
-def test_criterion_9_pinned_bundle_bytes(bundle):
+def _artifact_digest(paths):
+    """sha256 over the artifacts as perfbench hashes them: sorted by file name,
+    each fed as name + NUL + bytes."""
     digest = hashlib.sha256()
-    paths = sorted(bundle["dir"].iterdir(), key=lambda p: p.name)
-    for path in paths:
+    for path in sorted(map(Path, paths), key=lambda p: p.name):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def test_criterion_9_pinned_bundle_bytes(bundle):
+    paths = list(bundle["dir"].iterdir())
     assert len(paths) == 16
-    assert digest.hexdigest() == BUNDLE_SHA256
+    assert _artifact_digest(paths) == BUNDLE_SHA256
     print(f"\nACCEPTANCE 9 pinned bundle bytes, sha256 {BUNDLE_SHA256[:8]}... over {len(paths)} files: PASS")
 
 
@@ -244,23 +250,14 @@ def test_pinned_qft_allpairs_bytes(tmp_path):
     assert digests == QFT_ALLPAIRS_SHA256
 
 
-def _artifact_digest(paths):
-    """sha256 over the artifacts as perfbench hashes them: sorted by file name,
-    each fed as name + NUL + bytes."""
-    digest = hashlib.sha256()
-    for path in sorted(map(Path, paths), key=lambda p: p.name):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    return digest.hexdigest()
-
-
 # Artifact digests of perfbench's two lossy workloads (p_bsm 0.5) at seed 1,
 # equal to the `artifacts sha256` that perfbench prints for them. qv_contended
-# is the one contended by m=1; synth_pipelined is the one that queues a chain's
-# hops at once, and its synthetic circuits come from benchgen. A documented
-# model change updates them in the same commit.
+# has one communication qubit per core; synth_pipelined queues a chain's hops
+# at once and draws its circuits from benchgen. A documented model change
+# updates them in the same commit.
 SYNTH_PIPELINED_SHA256 = "ecc9eb22108f30d4c3139f4bef34bc8c369caaa0e91a24c492198b5e928615b7"
 QV_CONTENDED_SHA256 = "df735c69e0f9efc4249025f65a3cd5069af233343d2773bad8b66629c00e152a"
-LOSSY_SEED_1 = {"sim.seed": "1", "qv.seed": "7", "timing.p_bsm": "0.5"}
+LOSSY_SEED_1 = {"sim.seed": "1", "qv.seed": "7", "timing.p_bsm": "0.5"}  # perfbench's seed-1 keys, lossy BSM
 
 
 def test_pinned_synth_pipelined_bytes(tmp_path):
