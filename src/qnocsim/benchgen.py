@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .circuit import Circuit
 from .protocol import derived_rng
-from .strategy import plan_twt
+from .strategy import twt_meeting_core
 from .topology import MeshTopology
 
 _BUILD_ATTEMPTS = 32
@@ -155,7 +155,7 @@ def _build_synthetic(spec, topology, qubits_per_core, rng):
         dst_core = rng.choice(draw_partners(src_core, avoid=None))
         dst_qubit = take(dst_core)
         ops.append(("cx", (src_qubit, dst_qubit)))
-        chains.append((dst_qubit, dst_core, plan_twt(topology, src_core, dst_core).exec_core))
+        chains.append((dst_qubit, dst_core, twt_meeting_core(topology, src_core, dst_core)))
 
     for _layer in range(1, spec.target_depth):
         for slot in range(spec.requests_per_layer):
@@ -163,7 +163,7 @@ def _build_synthetic(spec, topology, qubits_per_core, rng):
             dst_core = rng.choice(draw_partners(home_core, avoid=twt_core))
             dst_qubit = take(dst_core)
             ops.append(("cx", (chain_qubit, dst_qubit)))
-            chains[slot] = (dst_qubit, dst_core, plan_twt(topology, twt_core, dst_core).exec_core)
+            chains[slot] = (dst_qubit, dst_core, twt_meeting_core(topology, twt_core, dst_core))
     return ops
 
 

@@ -99,8 +99,11 @@ class MeshTopology:
         Moves along x toward the destination column first, then along y.
         Length is always hop_distance(src, dst) + 1.
         """
-        sx, sy = self.coord_of(src)
-        dx, dy = self.coord_of(dst)
+        coords = self._coords
+        if not (0 <= src < len(coords) and 0 <= dst < len(coords)):
+            self._check_core(src)
+            self._check_core(dst)
+        (sx, sy), (dx, dy) = coords[src], coords[dst]
         corner = src + dx - sx  # destination column, source row
         x_step = 1 if dx > sx else -1
         y_step = self.width if dy > sy else -self.width

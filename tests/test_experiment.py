@@ -255,6 +255,24 @@ def test_summary_reductions_match_recompute_from_csv(tmp_path):
         assert summary == Path(json_path).read_text(encoding="utf-8")
 
 
+def test_bundle_routes_once_per_planned_request(tmp_path, monkeypatch):
+    # the synthetic generator finds the twt meeting core without routing, so
+    # every route serves a simulated request
+    routes = []
+    xy_route = MeshTopology.xy_route
+
+    def counted_xy_route(self, src, dst):
+        routes.append((src, dst))
+        return xy_route(self, src, dst)
+
+    monkeypatch.setattr(MeshTopology, "xy_route", counted_xy_route)
+    gen_synthetic(SynthSpec(4, 4, CrMode("random", 3), 1), MeshTopology(4, 4), 4)
+    assert routes == []
+    paths = run_default_bundle(str(tmp_path))
+    requests = sum(row["num_requests"] for path in paths if path.endswith(".csv") for row in read_rows(path))
+    assert len(routes) == requests
+
+
 def test_plot_data_files(tmp_path):
     bundle = dict(default_bundle())
     run_experiment(bundle["synthetic_depth5"], str(tmp_path), "mix")

@@ -2,8 +2,9 @@ import pytest
 
 from oracles import xy_route_by_steps
 from qnocsim.placement import PlacementMap
-from qnocsim.strategy import plan, plan_hh, plan_twt
+from qnocsim.strategy import plan, plan_hh, plan_twt, twt_meeting_core
 from qnocsim.topology import MeshTopology
+from test_topology import MESHES
 
 MESH = MeshTopology(4, 4)
 
@@ -75,6 +76,31 @@ def test_planners_reject_co_located_operands():
         plan_twt(MESH, 3, 3)
     with pytest.raises(ValueError):
         plan("nearest", MESH, 0, 1)
+
+
+@pytest.mark.parametrize("planner", [plan_hh, plan_twt])
+def test_planners_reject_out_of_range_endpoints(planner):
+    for src, dst in ((-1, 0), (0, -1), (-1, -1), (0, 16), (16, 0)):
+        with pytest.raises(ValueError, match="outside"):
+            planner(MESH, src, dst)
+
+
+@pytest.mark.parametrize("mesh", MESHES + [MeshTopology(1, 5), MeshTopology(6, 1)],
+                         ids=lambda t: f"{t.width}x{t.height}")
+def test_meeting_core_is_the_planned_exec_core_on_every_pair(mesh):
+    for src in range(mesh.num_cores):
+        for dst in range(mesh.num_cores):
+            if src != dst:
+                assert twt_meeting_core(mesh, src, dst) == plan_twt(mesh, src, dst).exec_core
+
+
+@pytest.mark.parametrize("src, dst", [(3, 3), (0, -1), (-1, 0), (16, 0)])
+def test_meeting_core_rejects_what_the_planner_rejects(src, dst):
+    with pytest.raises(ValueError) as planned:
+        plan_twt(MESH, src, dst)
+    with pytest.raises(ValueError) as met:
+        twt_meeting_core(MESH, src, dst)
+    assert str(met.value) == str(planned.value)
 
 
 def test_plan_dispatch():

@@ -183,6 +183,6 @@ def test_xy_route_matches_step_by_step_reference(t):
 
 def test_xy_route_rejects_out_of_range_endpoints():
     t = MeshTopology(4, 4)
-    for src, dst in ((-1, 0), (0, 16), (16, 0)):
+    for src, dst in ((-1, 0), (0, -1), (-1, -1), (0, 16), (16, 0)):
         with pytest.raises(ValueError, match="outside"):
             t.xy_route(src, dst)
