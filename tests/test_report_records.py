@@ -21,6 +21,7 @@ from qnocsim.topology import MeshTopology
 MESH = MeshTopology(4, 4)
 CIRCUIT = gen_synthetic(SynthSpec(target_depth=5, requests_per_layer=3, cr_mode=CrMode("random", 6), seed=8), MESH, 8)
 LOSSY = SimConfig(topology=MESH, n_per_core=8, m_per_core=2, timing=TimingConfig(p_bsm=0.5), strategy="twt", seed=8)
+HH_LOSSY = dataclasses.replace(LOSSY, strategy="hh")
 CONTENDED = dataclasses.replace(LOSSY, m_per_core=1, strategy="hh", pipeline_hops=True)
 FRACTIONAL = dataclasses.replace(
     LOSSY,
@@ -28,13 +29,17 @@ FRACTIONAL = dataclasses.replace(
     pipeline_hops=True,
 )
 
-# sha256 of repr([astuple(record) ...]) for each hop and request log. The
-# first two were pinned on the eagerly built record tuples that run returned
-# before records were built lazily; "twt fractional" was pinned on a log of
-# plain tuples, and none of its times is integral.
+# sha256 of repr([astuple(record) ...]) for each hop and request log. "twt
+# lossy" and "hh contended pipelined" were pinned on the eagerly built record
+# tuples that run returned before records were built lazily; "twt fractional"
+# was pinned on a log of plain tuples, and none of its times is integral.
+# "hh lossy" was pinned while each hop chain still drew from its own stream;
+# an hh request has one chain, so one stream per request leaves its log as it was.
 EAGER_LOGS = {
     "twt lossy": (LOSSY, 48, 15, "988880d2bbc51044a35dacbbacadc9bcc03c2f6989fd01c8a04170267c666034",
                   "835c2b7e866747a0ae845e382736e0d4033a8abad9fa3bc57d9ae5c25940f0b5"),
+    "hh lossy": (HH_LOSSY, 44, 15, "8ecc6adf85c1706dc5cd452b235ddc37ccd0f968a5dde680d25f64637ebdc1ec",
+                 "99818d398a7ccc4fe275b8bc78bab739214f614ae35de0f9a8b20526cdbf81f2"),
     "hh contended pipelined": (CONTENDED, 44, 15, "5bbfc25d31b1986a71590a1079597cfedcaac2ef3a6636fd3ed48a9ae5e66017",
                                "e51cf2418c81e20165de8e106c29130270cf425a5af12acd996cab8d46986ff2"),
     "twt fractional": (FRACTIONAL, 48, 15, "b8d73179bdcdbc1008dad5e5d3ad9ae63437b216dcad592f79ce01b323bea10c",
