@@ -16,8 +16,11 @@ A link, and each of a core's m communication qubits, is free from the finish
 of the last hop granted it; a hop takes the earliest-free qubit at each end.
 The idle gap before a grant's start is never backfilled by a later grant.
 A request's attempts are the sum of its hops' attempts, and its arrival is
-the latest finish among its hops. A chain's attempts never depend on timing,
-so all of them are drawn from its own stream when its request is planned.
+the latest finish among its hops. Attempts never depend on timing, so all of
+a request's are drawn when it is planned, from one stream per request: the
+source chain's hops first, in hop order, then the destination chain's. A
+request at distance d has d hops under either strategy, so hh and twt draw the
+same d attempt counts, in the same order, for a request between the same cores.
 
 A run keeps only its totals. The hop and request records of a report are
 made on first read, by simulating the run again with logging on; the
@@ -217,7 +220,7 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) 
     gates = circuit.gates
     core_of, relocate, occupancy_of = placement.core_of, placement.relocate, placement.occupancy
     attempts_of = entanglement_attempts
-    draws = timing.p_bsm < 1  # at p_bsm == 1 no hop consumes randomness, so chains get no stream
+    draws = timing.p_bsm < 1  # at p_bsm == 1 no hop consumes randomness, so requests get no stream
     if logs is not None:
         request_log, hop_log = logs
 
@@ -253,12 +256,13 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) 
             level[q_dst] += len(comm_plan.dst_hops)
             level[q_src] = level[q_dst] = max(level[q_src], level[q_dst]) + 1
             request_attempts = 0
+            # Draws never depend on timing, so they are all made here: the
+            # chains take consecutive draws of the request's one stream.
+            rng = request_stream(cfg.seed, gate_id) if draws else None
             for chain_idx, (qubit, start_core, route) in enumerate(
                 [(q_src, src_core, comm_plan.src_hops), (q_dst, dst_core, comm_plan.dst_hops)]
             ):
                 if route:
-                    # A chain's draws never depend on timing, so they are all made here.
-                    rng = request_stream(cfg.seed, gate_id, chain_idx) if draws else None
                     hop_attempts = [attempts_of(timing, rng) for _ in route]
                     request_attempts += sum(hop_attempts)
                     pending.append((now, gate_id, chain_idx, 0, qubit, start_core, now, route, hop_attempts))

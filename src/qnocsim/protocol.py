@@ -13,9 +13,9 @@ A hop between adjacent cores breaks down into four timed phases:
   4. conditional correction at the destination (t_correct).
 
 This module holds the durations, which TimingConfig checks once, and draws
-the attempt counts from them. The engine draws all of a chain's counts when
-it plans the request, and engine._drain_hops applies them. A hop granted at
-start finishes at
+the attempt counts from them. The engine draws all of a request's counts
+when it plans the request, and engine._drain_hops applies them. A hop
+granted at start finishes at
 
   finish = max(start + attempts·t_epr, data arrival) + t_meas + t_classical + t_correct
 
@@ -76,13 +76,15 @@ def entanglement_attempts(timing: TimingConfig, rng: random.Random | None) -> in
     return attempts
 
 
-def request_stream(seed: int, gate_id: int, chain: int = 0) -> random.Random:
-    """Private random stream for one hop chain of one request.
+def request_stream(seed: int, gate_id: int) -> random.Random:
+    """Private random stream for one request; both of its hop chains draw from it.
 
-    Derived by hashing, so the values a chain draws never depend on how the
-    simulator interleaves events across requests or chains.
+    Derived by hashing, so the values a request draws never depend on how the
+    simulator interleaves events across requests. The key keeps the ":0" of
+    the source chain's key from when each chain had its own stream, so a
+    request's source chain, and so every hh request, draws what it drew then.
     """
-    return derived_rng(f"{seed}:{gate_id}:{chain}")
+    return derived_rng(f"{seed}:{gate_id}:0")
 
 
 def derived_rng(key: str) -> random.Random:

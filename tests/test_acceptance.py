@@ -190,7 +190,7 @@ def test_criterion_6_real_benchmark_ordering(bundle):
 def test_criterion_7_geometric_attempt_statistics():
     started = time.perf_counter()
     cfg = TimingConfig(p_bsm=0.5)
-    rng = request_stream(2024, 0, 0)
+    rng = request_stream(2024, 0)
     hops = 100_000
     total = sum(entanglement_attempts(cfg, rng) for _ in range(hops))
     elapsed = time.perf_counter() - started
@@ -255,8 +255,8 @@ def test_pinned_qft_allpairs_bytes(tmp_path):
 # has one communication qubit per core; synth_pipelined queues a chain's hops
 # at once and draws its circuits from benchgen. A documented model change
 # updates them in the same commit.
-SYNTH_PIPELINED_SHA256 = "ecc9eb22108f30d4c3139f4bef34bc8c369caaa0e91a24c492198b5e928615b7"
-QV_CONTENDED_SHA256 = "df735c69e0f9efc4249025f65a3cd5069af233343d2773bad8b66629c00e152a"
+SYNTH_PIPELINED_SHA256 = "6afc614d390cadbc70af1b89f879d83634d84f9fcc8ee310da3db8350e751519"
+QV_CONTENDED_SHA256 = "b9b9febe9639bb27f299d60e65c4a1ef2e298cb587022e1d4ce1a28dbff6937e"
 LOSSY_SEED_1 = {"sim.seed": "1", "qv.seed": "7", "timing.p_bsm": "0.5"}  # perfbench's seed-1 keys, lossy BSM
 
 

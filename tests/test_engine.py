@@ -1,5 +1,7 @@
 import math
 from dataclasses import replace
+from itertools import permutations
+from operator import attrgetter
 
 import pytest
 
@@ -11,6 +13,7 @@ from oracles import (
     phase_finish,
     pmf_mean_var,
 )
+from qnocsim import engine
 from qnocsim.benchgen import CrMode, SynthSpec, gen_qft, gen_synthetic
 from qnocsim.circuit import Circuit, Gate, depth
 from qnocsim.engine import SimConfig, audit_resources, run
@@ -262,7 +265,8 @@ def test_uncontended_latency_mean_matches_exact_negative_binomial(p_bsm, dst):
     dst_chain = chain_latency_pmf(timing, len(twt_plan.dst_hops))
     exact = {
         "hh": chain_latency_pmf(timing, MESH.hop_distance(0, dst)),
-        "twt": max_pmf(src_chain, dst_chain),  # the two chains draw from independent streams
+        # The chains take disjoint draws of one i.i.d. stream, so they are independent.
+        "twt": max_pmf(src_chain, dst_chain),
     }
     for strategy, pmf in exact.items():
         mean, var = pmf_mean_var(pmf)
@@ -362,6 +366,57 @@ def test_attempt_counts_accumulate_with_lossy_bsm():
     assert report.requests[0].latency >= 6 * HOP
     again = run(c, cfg_for("hh", seed=3, p_bsm=0.5))
     assert report == again
+
+
+@pytest.fixture(scope="module")
+def paired_one_gate_runs():
+    """(seed, src, dst), hh report, twt report: one lossy gate on every
+    ordered core pair of MESH, one qubit per core, at seeds 1 to 3."""
+    runs = []
+    for seed in (1, 2, 3):
+        for src, dst in permutations(range(MESH.num_cores), 2):
+            c = Circuit.from_ops(MESH.num_cores, [("cx", (src, dst))])
+            hh, twt = (run(c, cfg_for(strategy, seed=seed, p_bsm=0.5)) for strategy in ("hh", "twt"))
+            runs.append(((seed, src, dst), hh, twt))
+    assert len(runs) == 720
+    return runs
+
+
+def test_twt_hops_draw_the_hh_attempts_in_chain_then_hop_order(paired_one_gate_runs):
+    """Common random numbers: a request's chains draw from its one stream,
+    source chain first, so twt's d hops take the d attempt counts of hh's."""
+    in_order = attrgetter("chain", "hop_index")
+    differ = [
+        case for case, hh, twt in paired_one_gate_runs
+        if [h.attempts for h in sorted(hh.hops, key=in_order)] != [h.attempts for h in sorted(twt.hops, key=in_order)]
+    ]
+    assert differ == []
+    twt_hops = [h for _, _, twt in paired_one_gate_runs for h in twt.hops]
+    assert any(h.chain == 1 for h in twt_hops) and any(h.attempts > 1 for h in twt_hops)
+
+
+def test_twt_and_hh_requests_draw_equal_attempts(paired_one_gate_runs):
+    differ = [case for case, hh, twt in paired_one_gate_runs if hh.requests[0].attempts != twt.requests[0].attempts]
+    assert differ == []
+
+
+@pytest.mark.parametrize("strategy", ["hh", "twt"])
+def test_a_lossy_run_seeds_one_stream_per_request(strategy, monkeypatch):
+    """At p_bsm < 1 each inter-core request seeds one stream, which both of
+    its chains draw from; test_certain_success_runs_seed_no_random_stream
+    covers p_bsm = 1."""
+    calls = []
+    real_stream = engine.request_stream
+
+    def counted(*args):
+        calls.append(args)
+        return real_stream(*args)
+
+    monkeypatch.setattr(engine, "request_stream", counted)
+    spec = SynthSpec(target_depth=6, requests_per_layer=4, cr_mode=CrMode("random", 6), seed=5)
+    report = run(gen_synthetic(spec, MESH, 2), cfg_for(strategy, n=2, seed=4, p_bsm=0.5))
+    assert len(calls) == len(set(calls)) == report.inter_core_requests > 0
+    assert any(request.distance > 1 for request in report.requests)  # some twt request has two chains
 
 
 def test_pipelined_hops_overlap_entanglement_generation():

@@ -696,8 +696,8 @@ def test_partial_rows_are_flushed_before_a_failing_point_exits(tmp_path):
 
     # with a cap of one attempt, a request whose first draw misses p_bsm=0.5
     # exhausts the cap; pick one surviving and one exhausting engine seed
-    good = next(s for s in range(100) if request_stream(s, 0, 0).random() < 0.5)
-    bad = next(s for s in range(100) if request_stream(s, 0, 0).random() >= 0.5)
+    good = next(s for s in range(100) if request_stream(s, 0).random() < 0.5)
+    bad = next(s for s in range(100) if request_stream(s, 0).random() >= 0.5)
     circuit_file = tmp_path / "one_hop.qc"
     circuit_file.write_text("qubits 2\ncx 0 1\n")
     config = merge_config(

@@ -33,10 +33,10 @@ def test_geometric_mean_attempts_at_half_probability():
 
 def test_attempt_sequence_is_reproducible_per_stream():
     timing = TimingConfig(p_bsm=0.3)
-    draws_a = [entanglement_attempts(timing, request_stream(7, gate_id, 0)) for gate_id in range(20)]
-    draws_b = [entanglement_attempts(timing, request_stream(7, gate_id, 0)) for gate_id in range(20)]
+    draws_a = [entanglement_attempts(timing, request_stream(7, gate_id)) for gate_id in range(20)]
+    draws_b = [entanglement_attempts(timing, request_stream(7, gate_id)) for gate_id in range(20)]
     assert draws_a == draws_b
-    assert draws_a != [entanglement_attempts(timing, request_stream(8, g, 0)) for g in range(20)]
+    assert draws_a != [entanglement_attempts(timing, request_stream(8, g)) for g in range(20)]
 
 
 def test_invalid_probability_rejected():

@@ -29,21 +29,22 @@ FRACTIONAL = dataclasses.replace(
     pipeline_hops=True,
 )
 
-# sha256 of repr([astuple(record) ...]) for each hop and request log. "twt
-# lossy" and "hh contended pipelined" were pinned on the eagerly built record
-# tuples that run returned before records were built lazily; "twt fractional"
-# was pinned on a log of plain tuples, and none of its times is integral.
-# "hh lossy" was pinned while each hop chain still drew from its own stream;
-# an hh request has one chain, so one stream per request leaves its log as it was.
+# sha256 of repr([astuple(record) ...]) for each hop and request log. "hh
+# contended pipelined" was pinned on the eagerly built record tuples that run
+# returned before records were built lazily, and "hh lossy" while each hop
+# chain still drew from its own stream; an hh request has one chain, so one
+# stream per request left both logs as they were. The two twt logs were
+# pinned again when a request's chains came to share its stream; none of the
+# times of "twt fractional" is integral.
 EAGER_LOGS = {
-    "twt lossy": (LOSSY, 48, 15, "988880d2bbc51044a35dacbbacadc9bcc03c2f6989fd01c8a04170267c666034",
-                  "835c2b7e866747a0ae845e382736e0d4033a8abad9fa3bc57d9ae5c25940f0b5"),
+    "twt lossy": (LOSSY, 48, 15, "faa2d3dfa9db77bb6d1c4bfc662be5f60b4fe574d41fc50f2280f4983d9dac45",
+                  "b46b5f21b8d062b9d8d2f8ff282f9f9ffe199116a95a0b3c4db33e36ac84ed90"),
     "hh lossy": (HH_LOSSY, 44, 15, "8ecc6adf85c1706dc5cd452b235ddc37ccd0f968a5dde680d25f64637ebdc1ec",
                  "99818d398a7ccc4fe275b8bc78bab739214f614ae35de0f9a8b20526cdbf81f2"),
     "hh contended pipelined": (CONTENDED, 44, 15, "5bbfc25d31b1986a71590a1079597cfedcaac2ef3a6636fd3ed48a9ae5e66017",
                                "e51cf2418c81e20165de8e106c29130270cf425a5af12acd996cab8d46986ff2"),
-    "twt fractional": (FRACTIONAL, 48, 15, "b8d73179bdcdbc1008dad5e5d3ad9ae63437b216dcad592f79ce01b323bea10c",
-                       "f05b92885cc7bc4e18bb1a872fc0b3e8291c0f2863be8fbafa60c8a5bf60b67e"),
+    "twt fractional": (FRACTIONAL, 48, 15, "2b87c5d223d8160b1d924c15e16fb4bf8e426e6b7b7e3a771937a24444542838",
+                       "c81a9eeb9307ada937a0ec2c289de33a585f5e35ec3a439671463467a3eda903"),
 }
 
 
