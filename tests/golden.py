@@ -1,10 +1,8 @@
 """Every output the tests pin, as committed text under tests/data/golden/.
 
-    PYTHONPATH=src python tests/golden.py
-
-rewrites all of tests/data/golden/, one directory per ARTIFACTS entry, and
-tests/test_golden.py checks that each entry still writes those bytes. A
-documented model change runs it and commits the resulting diff of numbers.
+``PYTHONPATH=src python tests/golden.py`` rewrites all of it, one directory
+per ARTIFACTS entry; tests/test_golden.py checks that each entry still writes
+those bytes. A documented model change commits the resulting diff of numbers.
 """
 
 import csv
@@ -13,9 +11,9 @@ import shutil
 import sys
 from pathlib import Path
 
-TESTS = Path(__file__).resolve().parent
-GOLDEN = TESTS / "data" / "golden"
-sys.path.append(str(TESTS.parent / "perfbench"))
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = DATA / "golden"
+sys.path.append(str(DATA.parent.parent / "perfbench"))
 
 from qnocsim.engine import run  # noqa: E402
 from qnocsim.experiment import default_bundle, load_config, merge_config, run_experiment  # noqa: E402
@@ -31,8 +29,7 @@ def _workload(name: str, seed: int):
 
     def write_bundle(out_dir):
         for entry, config in default_bundle():
-            # sweep.seeds is set only where the entry sweeps seeds; the others
-            # run once per strategy, seeded by sim.seed.
+            # Only an entry that sweeps seeds gets sweep.seeds; the others run once per strategy.
             keys = {k: v for k, v in seeds.items() if k != "sweep.seeds" or k in config}
             run_experiment({**config, **keys}, str(out_dir), entry)
 
@@ -57,10 +54,9 @@ ARTIFACTS = {
     **{f"{name}-seed{seed}": _workload(name, seed) for name in WORKLOADS for seed in (1, 7)},
     **{f"log-{name.replace(' ', '-')}": _logs(cfg) for name, (cfg, *_) in EAGER_LOGS.items()},
     "golden-cfg": lambda out_dir: run_experiment(
-        merge_config(load_config(str(TESTS / "data" / "golden.cfg"))), str(out_dir), "golden"
+        merge_config(load_config(str(DATA / "golden.cfg"))), str(out_dir), "golden"
     ),
 }
-
 
 if __name__ == "__main__":
     shutil.rmtree(GOLDEN, ignore_errors=True)

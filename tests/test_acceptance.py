@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 pass lines alongside the pytest output.
 """
 
-import hashlib
 import time
 from pathlib import Path
 
@@ -15,17 +14,14 @@ from qnocsim import experiment
 from qnocsim.benchgen import CrMode, SynthSpec, gen_synthetic
 from qnocsim.circuit import Circuit
 from qnocsim.engine import SimConfig, audit_resources, run
-from qnocsim.experiment import default_bundle, merge_config, run_experiment
+from qnocsim.experiment import default_bundle, run_experiment
 from qnocsim.protocol import TimingConfig, entanglement_attempts, request_stream
 from qnocsim.strategy import plan_twt
 from qnocsim.topology import MeshTopology
+from test_golden import assert_same_files
 
 MESH = MeshTopology(4, 4)
 HOP = 14.0
-# sha256 of the default bundle's 16 artifacts, computed as perfbench does
-# (sorted by name, each fed as name + NUL + bytes). A documented model
-# change updates it in the same commit.
-BUNDLE_SHA256 = "727729c3aac67bb98f910b2eec1d3d497fc60a7c7e206eda68c6f2df1cce50bc"
 
 
 def _cfg(strategy, qpc, seed=0):
@@ -217,58 +213,8 @@ def test_criterion_8_determinism_and_resource_audit(bundle, tmp_path):
     )
 
 
-def _artifact_digest(paths):
-    """sha256 over the artifacts as perfbench hashes them: sorted by file name,
-    each fed as name + NUL + bytes."""
-    digest = hashlib.sha256()
-    for path in sorted(map(Path, paths), key=lambda p: p.name):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    return digest.hexdigest()
-
-
 def test_criterion_9_pinned_bundle_bytes(bundle):
-    paths = list(bundle["dir"].iterdir())
-    assert len(paths) == 16
-    assert _artifact_digest(paths) == BUNDLE_SHA256
-    print(f"\nACCEPTANCE 9 pinned bundle bytes, sha256 {BUNDLE_SHA256[:8]}... over {len(paths)} files: PASS")
-
-
-# sha256 of the CSV and the JSON that perfbench's qft_allpairs workload
-# writes at seed 1: qft 256 on a 2x2 mesh, 64 qubits per core, so nearly every
-# gate is local and the per-gate paths of the engine decide the bytes.
-QFT_ALLPAIRS_SHA256 = {
-    "csv": "378e58e4001caef1f7f8a71456bcf9d7ef6d9a4b0f85eb1bad6d90473d977845",
-    "json": "70d3753f26c60ce5d0738f709c15373f8845df5c0fcecf6530c83115046cd72f",
-}
-
-
-def test_pinned_qft_allpairs_bytes(tmp_path):
-    config = merge_config({"workload": "qft", "qft.qubits": "256", "mesh.width": "2", "mesh.height": "2",
-                           "sim.n_per_core": "64", "sim.m_per_core": "2", "timing.p_bsm": "1"})
-    paths = run_experiment(config, str(tmp_path), "qft_allpairs")
-    digests = {Path(path).suffix[1:]: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in paths}
-    assert digests == QFT_ALLPAIRS_SHA256
-
-
-# Artifact digests of perfbench's two lossy workloads (p_bsm 0.5) at seed 1,
-# equal to the `artifacts sha256` that perfbench prints for them. qv_contended
-# has one communication qubit per core; synth_pipelined queues a chain's hops
-# at once and draws its circuits from benchgen. A documented model change
-# updates them in the same commit.
-SYNTH_PIPELINED_SHA256 = "6afc614d390cadbc70af1b89f879d83634d84f9fcc8ee310da3db8350e751519"
-QV_CONTENDED_SHA256 = "b9b9febe9639bb27f299d60e65c4a1ef2e298cb587022e1d4ce1a28dbff6937e"
-LOSSY_SEED_1 = {"sim.seed": "1", "qv.seed": "7", "timing.p_bsm": "0.5"}  # perfbench's seed-1 keys, lossy BSM
-
-
-def test_pinned_synth_pipelined_bytes(tmp_path):
-    config = merge_config({**LOSSY_SEED_1, "workload": "synthetic", "mesh.width": "8", "mesh.height": "8",
-                           "sim.n_per_core": "16", "sim.m_per_core": "2", "sim.pipeline_hops": "true",
-                           "synthetic.depth": "40", "sweep.requests": "320,640", "sweep.cr": "random:14",
-                           "sweep.seeds": "1,2"})
-    assert _artifact_digest(run_experiment(config, str(tmp_path), "synth_pipelined")) == SYNTH_PIPELINED_SHA256
-
-
-def test_pinned_qv_contended_bytes(tmp_path):
-    config = merge_config({**LOSSY_SEED_1, "workload": "qv", "qv.qubits": "1024", "qv.layers": "20",
-                           "mesh.width": "16", "mesh.height": "16", "sim.n_per_core": "4", "sim.m_per_core": "1"})
-    assert _artifact_digest(run_experiment(config, str(tmp_path), "qv_contended")) == QV_CONTENDED_SHA256
+    """The shipped bundle writes the committed bytes of tests/data/golden/bundle-seed1."""
+    assert_same_files(bundle["dir"], "bundle-seed1")
+    files = len(list(bundle["dir"].iterdir()))
+    print(f"\nACCEPTANCE 9 pinned bundle bytes, {files} files equal to tests/data/golden/bundle-seed1: PASS")

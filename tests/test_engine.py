@@ -400,6 +400,14 @@ def test_twt_and_hh_requests_draw_equal_attempts(paired_one_gate_runs):
     assert differ == []
 
 
+def test_twt_is_never_slower_than_hh_on_one_lossy_gate(paired_one_gate_runs):
+    """One-gate dominance: both draw the same d attempt counts, which hh runs
+    in one chain and twt splits into two chains that run at once."""
+    latencies = [(case, twt.requests[0].latency, hh.requests[0].latency) for case, hh, twt in paired_one_gate_runs]
+    assert [case for case, twt, hh in latencies if twt > hh] == []
+    assert any(twt < hh for _, twt, hh in latencies)
+
+
 @pytest.mark.parametrize("strategy", ["hh", "twt"])
 def test_a_lossy_run_seeds_one_stream_per_request(strategy, monkeypatch):
     """At p_bsm < 1 each inter-core request seeds one stream, which both of

@@ -28,6 +28,7 @@ from qnocsim.experiment import (
     summarize,
 )
 from qnocsim.topology import MeshTopology
+from test_golden import assert_same_files
 
 DATA = Path(__file__).parent / "data"
 
@@ -177,13 +178,6 @@ def test_run_experiment_writes_schema_and_is_idempotent(tmp_path):
     assert summary["rows"] == len(rows)
 
 
-def test_golden_spec_reproduces_committed_artifacts(tmp_path):
-    config = merge_config(load_config(os.path.join(DATA, "golden.cfg")))
-    csv_path, json_path = run_experiment(config, str(tmp_path), "golden")
-    assert Path(csv_path).read_bytes() == (DATA / "golden.csv").read_bytes()
-    assert Path(json_path).read_bytes() == (DATA / "golden.json").read_bytes()
-
-
 def test_certain_success_runs_seed_no_random_stream(tmp_path, monkeypatch):
     def no_stream(*args):
         raise AssertionError("a run at p_bsm = 1 seeded a random stream")
@@ -191,9 +185,8 @@ def test_certain_success_runs_seed_no_random_stream(tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "request_stream", no_stream)
     config = merge_config(load_config(os.path.join(DATA, "golden.cfg")))
     assert config["timing.p_bsm"] == "1"
-    csv_path, json_path = run_experiment(config, str(tmp_path), "golden")
-    assert Path(csv_path).read_bytes() == (DATA / "golden.csv").read_bytes()
-    assert Path(json_path).read_bytes() == (DATA / "golden.json").read_bytes()
+    run_experiment(config, str(tmp_path), "golden")
+    assert_same_files(tmp_path, "golden-cfg")
 
 
 def test_adjacent_radius_sweep_rows_pair_equal(tmp_path):
@@ -398,20 +391,9 @@ def test_cli_seed_flag_overrides_the_config_file_seeds(tmp_path):
 
 
 def test_cli_run_runs_config(tmp_path, capsys):
-    code = cli.main(
-        [
-            "run",
-            "--config",
-            os.path.join(DATA, "golden.cfg"),
-            "--out",
-            str(tmp_path),
-            "--name",
-            "cli_golden",
-        ]
-    )
+    code = cli.main(["run", "--config", os.path.join(DATA, "golden.cfg"), "--out", str(tmp_path), "--name", "golden"])
     assert code == 0
-    assert (tmp_path / "cli_golden.csv").read_bytes() == (DATA / "golden.csv").read_bytes()
-    assert (tmp_path / "cli_golden.json").read_bytes() == (DATA / "golden.json").read_bytes()
+    assert_same_files(tmp_path, "golden-cfg")
 
 
 def test_cli_flags_override_config(tmp_path):
