@@ -13,10 +13,10 @@ def assert_same_files(written_dir, entry):
     file and the changed row."""
     pinned_dir = GOLDEN / entry
     assert sorted(p.name for p in written_dir.iterdir()) == sorted(p.name for p in pinned_dir.iterdir())
-    for pinned in sorted(pinned_dir.iterdir()):
-        written = (written_dir / pinned.name).read_bytes()
-        assert written.decode().splitlines() == pinned.read_bytes().decode().splitlines(), pinned
-        assert written == pinned.read_bytes(), pinned
+    for path in sorted(pinned_dir.iterdir()):
+        written, pinned = (written_dir / path.name).read_bytes(), path.read_bytes()
+        assert written.decode().splitlines() == pinned.decode().splitlines(), path
+        assert written == pinned, path
 
 
 @pytest.mark.parametrize("entry", ARTIFACTS)
