@@ -15,6 +15,8 @@ DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "golden"
 sys.path.append(str(DATA.parent.parent / "perfbench"))
 
+from qnocsim.benchgen import gen_cuccaro, gen_mcmt, gen_qft, gen_quantum_volume  # noqa: E402
+from qnocsim.circuit import serialize_circuit  # noqa: E402
 from qnocsim.engine import run  # noqa: E402
 from qnocsim.experiment import default_bundle, load_config, merge_config, run_experiment  # noqa: E402
 from test_report_records import CIRCUIT, EAGER_LOGS  # noqa: E402
@@ -50,12 +52,24 @@ def _logs(cfg):
     return write
 
 
+def _named_circuits(out_dir):
+    """The named generators' circuits at the bundle's sizes, in the circuit text format."""
+    for label, circuit in (
+        ("qft32", gen_qft(32)),
+        ("cuccaro15", gen_cuccaro(15)),
+        ("mcmt12x9", gen_mcmt(12, 9)),
+        ("qv32x5-seed7", gen_quantum_volume(32, 5, 7)),
+    ):
+        (out_dir / f"{label}.qc").write_text(serialize_circuit(circuit), encoding="utf-8")
+
+
 ARTIFACTS = {
     **{f"{name}-seed{seed}": _workload(name, seed) for name in WORKLOADS for seed in (1, 7)},
     **{f"log-{name.replace(' ', '-')}": _logs(cfg) for name, (cfg, *_) in EAGER_LOGS.items()},
     "golden-cfg": lambda out_dir: run_experiment(
         merge_config(load_config(str(DATA / "golden.cfg"))), str(out_dir), "golden"
     ),
+    "circuits": _named_circuits,
 }
 
 if __name__ == "__main__":
