@@ -175,12 +175,14 @@ def gen_qft(n: int) -> Circuit:
     """
     if n < 1:
         raise ValueError("qft needs at least one qubit")
-    ops = []
+    return Circuit.from_ops(n, _qft_ops(n))
+
+
+def _qft_ops(n):
     for i in range(n):
-        ops.append(("h", (i,)))
+        yield "h", (i,)
         for j in range(i + 1, n):
-            ops.append(("cx", (j, i)))
-    return Circuit.from_ops(n, ops)
+            yield "cx", (j, i)
 
 
 def gen_cuccaro(n_bits: int) -> Circuit:
@@ -237,11 +239,12 @@ def gen_quantum_volume(n: int, n_layers: int, seed: int) -> Circuit:
         raise ValueError("quantum volume needs at least two qubits")
     if n_layers < 1:
         raise ValueError("need at least one layer")
-    rng = random.Random(seed)
-    ops = []
+    return Circuit.from_ops(n, _quantum_volume_ops(n, n_layers, random.Random(seed)))
+
+
+def _quantum_volume_ops(n, n_layers, rng):
     for _layer in range(n_layers):
         perm = list(range(n))
         rng.shuffle(perm)
         for i in range(n // 2):
-            ops.append(("cx", (perm[2 * i], perm[2 * i + 1])))
-    return Circuit.from_ops(n, ops)
+            yield "cx", (perm[2 * i], perm[2 * i + 1])

@@ -49,7 +49,7 @@ from operator import itemgetter
 
 # depth stays bound here although run no longer calls it: perfbench/tracing.py
 # wraps engine.depth by name.
-from .circuit import Circuit, depth, layerize  # noqa: F401
+from .circuit import Circuit, _collector_paused, depth, layerize  # noqa: F401
 from .placement import PlacementMap
 from .protocol import TimingConfig, entanglement_attempts, request_stream
 from .strategy import STRATEGIES, plan
@@ -206,11 +206,13 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
     return SimReport(**fields, requests=_Records(replay, 0), hops=_Records(replay, 1))
 
 
+@_collector_paused
 def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) -> dict:
     """The one simulation loop: the SimReport fields but the two logs.
 
     With logs = (requests, hops), it appends one RequestRecord per request
-    and one HopRecord per hop, in grant order; run passes None.
+    and one HopRecord per hop, in grant order; run passes None. Automatic
+    garbage collection is paused throughout, for the run and its replay alike.
     """
     topo = cfg.topology
     timing = cfg.timing
