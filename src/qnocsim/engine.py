@@ -16,11 +16,18 @@ A link, and each of a core's m communication qubits, is free from the finish
 of the last hop granted it; a hop takes the earliest-free qubit at each end.
 The idle gap before a grant's start is never backfilled by a later grant.
 A request's attempts are the sum of its hops' attempts, and its arrival is
-the latest finish among its hops. Attempts never depend on timing, so all of
-a request's are drawn when it is planned, from one stream per request: the
-source chain's hops first, in hop order, then the destination chain's. A
-request at distance d has d hops under either strategy, so hh and twt draw the
-same d attempt counts, in the same order, for a request between the same cores.
+the latest finish among its hops, taken as each chain's last hop is granted.
+Attempts never depend on timing, so all of a request's are drawn when it is
+planned, from one stream per request, one call per chain: the source chain's
+hops first, in hop order, then the destination chain's. A request at distance
+d has d hops under either strategy, so hh and twt draw the same d attempt
+counts, in the same order, for a request between the same cores.
+
+Qubits move as their hops finish: ties in finish go by gate id, then chain,
+then hop index. Each hop's row goes into a slot fixed when its request is
+planned, so a layer's rows sit in (gate id, chain, hop index) order, and a
+stable sort by finish alone gives the relocation order, which the placement
+map applies in one call.
 
 A run keeps only its totals. The hop and request records of a report are
 made on first read, by simulating the run again with logging on; the
@@ -47,11 +54,11 @@ from functools import cache
 from itertools import starmap
 from operator import itemgetter
 
-# depth stays bound here although run no longer calls it: perfbench/tracing.py
-# wraps engine.depth by name.
+# depth and entanglement_attempts stay bound here although run no longer calls
+# them: perfbench/tracing.py wraps both by name.
 from .circuit import Circuit, _collector_paused, depth, layerize  # noqa: F401
 from .placement import PlacementMap
-from .protocol import TimingConfig, entanglement_attempts, request_stream
+from .protocol import TimingConfig, chain_attempts, entanglement_attempts, request_stream  # noqa: F401
 from .strategy import STRATEGIES, plan
 from .topology import MeshTopology
 
@@ -182,10 +189,16 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
     the gate-list format. The run keeps no hop or request log: the first
     read of the report's hops or requests simulates the run once more with
     logging on, which fills both, so reading them costs one more run. That
-    replay looks up layerize, plan, request_stream and entanglement_attempts
-    as module globals, as the run does, and raises RuntimeError if its totals
-    differ from the report's. Raises ValueError if the delay totals are not
-    finite, as when the timing values overflow.
+    replay looks up layerize, plan and request_stream as module globals, as
+    the run does, and raises RuntimeError if its totals differ from the
+    report's. Raises ValueError if the delay totals are not finite, as when
+    the timing values overflow.
+
+    Per layer, the run plans every request and draws each hop chain's
+    attempts in one call, grants the hops (_drain_hops) into rows held in
+    (gate id, chain, hop index) slots, takes each request's arrival at its
+    chains' last hops, then sorts the rows stably by finish and relocates
+    their qubits in one PlacementMap call.
     """
     fields = _simulate(circuit, cfg, None)
     overflowed = [f"{name}={fields[name]}" for name in ("total_delay", "comm_delay_sum", "comm_delay_critical")
@@ -210,9 +223,10 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
 def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) -> dict:
     """The one simulation loop: the SimReport fields but the two logs.
 
-    With logs = (requests, hops), it appends one RequestRecord per request
-    and one HopRecord per hop, in grant order; run passes None. Automatic
-    garbage collection is paused throughout, for the run and its replay alike.
+    With logs = (requests, hops), it appends one RequestRecord per request,
+    in plan order, and one HopRecord per hop, in grant order; run passes
+    None. Automatic garbage collection is paused throughout, for the run and
+    its replay alike.
     """
     topo = cfg.topology
     timing = cfg.timing
@@ -220,8 +234,8 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) 
     placement = PlacementMap.initial_mapping(circuit.num_qubits, topo, cfg.n_per_core)
     layers = layerize(circuit)  # looked up as a module global: perfbench/tracing.py wraps it
     gates = circuit.gates
-    core_of, relocate, occupancy_of = placement.core_of, placement.relocate, placement.occupancy
-    attempts_of = entanglement_attempts
+    core_of, relocate_all = placement.core_of, placement.relocate_all
+    attempts_of = chain_attempts
     draws = timing.p_bsm < 1  # at p_bsm == 1 no hop consumes randomness, so requests get no stream
     if logs is not None:
         request_log, hop_log = logs
@@ -233,10 +247,13 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) 
     max_occupancy = placement.max_occupancy()
     inter_core_requests = 0
     level = [0] * circuit.num_qubits  # expanded-circuit depth reached by each qubit
-    relocation_order = itemgetter(8, 0, 1, 2)  # (finish, gate_id, chain, hop_index): qubits move as their hops finish
+    finish_of, move_of = itemgetter(8), itemgetter(3, 5)  # a hop row's finish and its (qubit, dst_core)
 
     for layer in layers:
         pending = []  # one _drain_hops heap entry per hop chain
+        # Each hop's entanglement attempts, by slot: (gate_id, chain,
+        # hop_index) order, since a layer lists its gate ids in ascending order.
+        attempts = []
         requests = []  # (gate_id, src_core, dst_core, distance, rounds, attempts), until the record is built
         for gate_id in layer:
             qubits = gates[gate_id].qubits
@@ -258,34 +275,31 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) 
             level[q_dst] += len(comm_plan.dst_hops)
             level[q_src] = level[q_dst] = max(level[q_src], level[q_dst]) + 1
             request_attempts = 0
-            # Draws never depend on timing, so they are all made here: the
-            # chains take consecutive draws of the request's one stream.
+            # Draws never depend on timing, so they are all made here, one
+            # call per chain: the chains take consecutive draws of the
+            # request's one stream.
             rng = request_stream(cfg.seed, gate_id) if draws else None
             for chain_idx, (qubit, start_core, route) in enumerate(
                 [(q_src, src_core, comm_plan.src_hops), (q_dst, dst_core, comm_plan.dst_hops)]
             ):
                 if route:
-                    hop_attempts = [attempts_of(timing, rng) for _ in route]
+                    pending.append((now, gate_id, chain_idx, 0, qubit, start_core, now, route, len(attempts)))
+                    hop_attempts = attempts_of(timing, rng, len(route))
                     request_attempts += sum(hop_attempts)
-                    pending.append((now, gate_id, chain_idx, 0, qubit, start_core, now, route, hop_attempts))
+                    attempts += hop_attempts
             distance = topo.hop_distance(src_core, dst_core)
             requests.append((gate_id, src_core, dst_core, distance, comm_plan.rounds, request_attempts))
 
         layer_end = now + t_gate  # every gate ends here or later: a request arrives at now or later
-        hop_rows: list[tuple] = []  # HopRecord fields, one tuple per hop, in grant order
-        _drain_hops(cfg, pending, hop_rows)
+        granted = [] if logs is not None else None
+        hop_rows, arrival = _drain_hops(cfg, pending, attempts, granted)
         if logs is not None:
-            hop_log.extend(starmap(HopRecord, hop_rows))
-        hop_rows.sort(key=relocation_order)  # finish order: a request's last finish written is its arrival
-        arrival: dict[int, float] = {}
-        for hop in hop_rows:
-            arrival[hop[0]] = hop[8]  # gate_id -> finish
-            dst_core = hop[5]
-            if relocate(hop[3], dst_core):  # qubit
-                congestion_events += 1
-            occupancy = occupancy_of(dst_core)
-            if occupancy > max_occupancy:
-                max_occupancy = occupancy
+            hop_log.extend(starmap(HopRecord, granted))
+        # Stable: rows of equal finish keep their slot order, so this is
+        # (finish, gate_id, chain, hop_index) order.
+        hop_rows.sort(key=finish_of)
+        congested, max_occupancy = relocate_all(map(move_of, hop_rows), max_occupancy)
+        congestion_events += congested
 
         inter_core_requests += len(requests)
         layer_latency = 0.0
@@ -314,14 +328,19 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) 
     )
 
 
-def _drain_hops(cfg, pending, hop_rows):
-    """Grant every hop of the layer's chains, appending one row of HopRecord fields each.
+def _drain_hops(cfg, pending, attempts, granted):
+    """Grant every hop of the layer's chains; return (rows, arrival).
 
     pending holds one heap entry per chain, for its next hop:
-    (ready, gate_id, chain, hop_index, qubit, core, data_at, route, attempts).
-    The qubit's data is at core from data_at on, route lists the core each
-    hop of the chain goes to and attempts each hop's entanglement attempts.
-    The first four fields are unique, so heap comparison never reaches route.
+    (ready, gate_id, chain, hop_index, qubit, core, data_at, route, slot).
+    The qubit's data is at core from data_at on, and route lists the core
+    each hop of the chain goes to. A chain's hops have consecutive slots,
+    fixed at planning: attempts[slot] is the hop's entanglement attempts and
+    rows[slot] its row of HopRecord fields, so rows come out in (gate_id,
+    chain, hop_index) order. arrival maps each gate id to the latest finish
+    of its chains' last hops. granted, unless None, gets each row in grant
+    order. The first four entry fields are unique, so heap comparison never
+    reaches route.
     """
     topo, timing = cfg.topology, cfg.timing
     link_busy_until: dict[tuple[int, int], float] = {}  # link -> finish of its last grant
@@ -330,7 +349,8 @@ def _drain_hops(cfg, pending, hop_rows):
     t_epr, tail = timing.t_epr, timing.t_meas + timing.t_classical + timing.t_correct
     pipelined = cfg.pipeline_hops
     heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
-    add_hop = hop_rows.append
+    rows: list[tuple | None] = [None] * len(attempts)
+    arrival: dict[int, float] = {}
 
     # Every entry starts ready at the layer start. A pipelined chain's next
     # hop stays ready then, so it pops before every other chain's pending
@@ -340,7 +360,7 @@ def _drain_hops(cfg, pending, hop_rows):
     # Same arithmetic as max(), written out; TimingConfig rejects NaN, on
     # which the two would differ.
     while pending:
-        ready, gate_id, chain_idx, hop_idx, qubit, src, data_at, route, hop_attempts = heappop(pending)
+        ready, gate_id, chain_idx, hop_idx, qubit, src, data_at, route, slot = heappop(pending)
         dst = route[hop_idx]
         link = link_between(src, dst)
         start = link_busy_until.get(link, 0.0)
@@ -352,8 +372,8 @@ def _drain_hops(cfg, pending, hop_rows):
             start = src_free[0]
         if dst_free[0] > start:
             start = dst_free[0]
-        attempts = hop_attempts[hop_idx]
-        epr_done = start + attempts * t_epr
+        hop_attempts = attempts[slot]
+        epr_done = start + hop_attempts * t_epr
         finish = data_at
         if epr_done > finish:
             finish = epr_done
@@ -361,10 +381,15 @@ def _drain_hops(cfg, pending, hop_rows):
         link_busy_until[link] = finish
         heapreplace(src_free, finish)  # finish >= start >= the replaced free time
         heapreplace(dst_free, finish)
-        add_hop((gate_id, chain_idx, hop_idx, qubit, src, dst, attempts, start, finish))
+        row = rows[slot] = (gate_id, chain_idx, hop_idx, qubit, src, dst, hop_attempts, start, finish)
+        if granted is not None:
+            granted.append(row)
         if hop_idx + 1 < len(route):
             next_ready = ready if pipelined else finish
-            heappush(pending, (next_ready, gate_id, chain_idx, hop_idx + 1, qubit, dst, finish, route, hop_attempts))
+            heappush(pending, (next_ready, gate_id, chain_idx, hop_idx + 1, qubit, dst, finish, route, slot + 1))
+        elif finish > arrival.get(gate_id, -math.inf):  # the chain's qubit has arrived
+            arrival[gate_id] = finish
+    return rows, arrival
 
 
 def audit_resources(report: SimReport, cfg: SimConfig) -> list[str]:

@@ -14,7 +14,8 @@ class PlacementMap:
 
     A core may be pushed past its capacity of computation qubits; the move
     succeeds and is reported as congestion rather than rejected. Owned and
-    mutated by a single simulation run.
+    mutated by a single simulation run, which applies each layer's moves in
+    one relocate_all call; relocate is the range-checked single move.
 
     ``core_of(qubit)`` is the bound ``__getitem__`` of the qubit -> core
     list, a C call on the engine's per-gate path: it indexes as a list does,
@@ -60,10 +61,29 @@ class PlacementMap:
             raise ValueError(f"qubit {qubit} outside 0..{len(self._qubit_core) - 1}")
         if not (0 <= to < len(self._core_load)):
             raise ValueError(f"core {to} outside 0..{len(self._core_load) - 1}")
-        origin = self._qubit_core[qubit]
-        if origin == to:
-            return False
-        self._core_load[origin] -= 1
-        self._core_load[to] += 1
-        self._qubit_core[qubit] = to
-        return self._core_load[to] > self.capacity
+        return self.relocate_all([(qubit, to)], 0)[0] > 0
+
+    def relocate_all(self, moves, peak: int) -> tuple[int, int]:
+        """Apply (qubit, core) moves in order, each as relocate would, in one call.
+
+        Returns (congestion events, peak): peak is the larger of the given
+        peak and each moved qubit's destination occupancy after its move. A
+        no-op move changes no load, so a peak given as max_occupancy() comes
+        back as the highest occupancy any core held. The moves are not
+        range-checked, as relocate's are: the engine passes its own hops.
+        """
+        qubit_core, load, capacity = self._qubit_core, self._core_load, self.capacity
+        congested = 0
+        for qubit, to in moves:
+            origin = qubit_core[qubit]
+            if origin == to:
+                continue
+            qubit_core[qubit] = to
+            load[origin] -= 1
+            held = load[to] + 1
+            load[to] = held
+            if held > capacity:
+                congested += 1
+            if held > peak:
+                peak = held
+        return congested, peak

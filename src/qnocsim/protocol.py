@@ -14,8 +14,8 @@ A hop between adjacent cores breaks down into four timed phases:
 
 This module holds the durations, which TimingConfig checks once, and draws
 the attempt counts from them. The engine draws all of a request's counts
-when it plans the request, and engine._drain_hops applies them. A hop
-granted at start finishes at
+when it plans the request, one chain_attempts call per hop chain, and
+engine._drain_hops applies them. A hop granted at start finishes at
 
   finish = max(start + attempts·t_epr, data arrival) + t_meas + t_classical + t_correct
 
@@ -59,21 +59,33 @@ class TimingConfig:
             raise ValueError("max_attempts must be positive when set")
 
 
-def entanglement_attempts(timing: TimingConfig, rng: random.Random | None) -> int:
-    """Bernoulli trials at timing.p_bsm up to and including the first heralded success.
+def chain_attempts(timing: TimingConfig, rng: random.Random | None, hops: int) -> list[int]:
+    """Attempt counts of a chain of hops, in hop order, drawn in one call.
 
+    Each count is Bernoulli trials at timing.p_bsm up to and including the
+    first heralded success; a hop's trials follow the previous hop's on rng.
     With p_bsm == 1 no randomness is consumed, so certain-success runs are
-    independent of the stream state and rng may be None.
+    independent of the stream state and rng may be None. Raises ProtocolError
+    at the first hop that needs more than timing.max_attempts.
     """
     p_bsm, max_attempts = timing.p_bsm, timing.max_attempts
     if p_bsm >= 1.0:
-        return 1
-    attempts = 1
-    while rng.random() >= p_bsm:
-        attempts += 1
-        if max_attempts is not None and attempts > max_attempts:
-            raise ProtocolError(f"entanglement not heralded within {max_attempts} attempts")
-    return attempts
+        return [1] * hops
+    draw = rng.random
+    counts = []
+    for _ in range(hops):
+        attempts = 1
+        while draw() >= p_bsm:
+            attempts += 1
+            if max_attempts is not None and attempts > max_attempts:
+                raise ProtocolError(f"entanglement not heralded within {max_attempts} attempts")
+        counts.append(attempts)
+    return counts
+
+
+def entanglement_attempts(timing: TimingConfig, rng: random.Random | None) -> int:
+    """Attempt count of one hop: chain_attempts for a chain of one."""
+    return chain_attempts(timing, rng, 1)[0]
 
 
 def request_stream(seed: int, gate_id: int) -> random.Random:

@@ -99,6 +99,30 @@ def test_replaying_a_relocation_log_reproduces_the_map():
     assert [first.core_of(q) for q in range(12)] == [second.core_of(q) for q in range(12)]
 
 
+@pytest.mark.parametrize("capacity", [1, 2, 3])
+def test_one_call_move_matches_per_move_relocate(capacity):
+    """relocate_all on a seeded move log, no-op moves included, leaves the
+    map, the loads, the congestion count and the peak occupancy that one
+    relocate per move leaves."""
+    import random
+
+    rng = random.Random(23)
+    log = [(rng.randrange(12), rng.randrange(16)) for _ in range(300)]
+    qubit_core = [q // 2 for q in range(12)]
+    log += [(q, qubit_core[q]) for q in range(12)]  # moves to the qubit's own core
+    rng.shuffle(log)
+    one_call = PlacementMap(qubit_core, 16, capacity)
+    per_move = PlacementMap(qubit_core, 16, capacity)
+    congestion, peak = 0, per_move.max_occupancy()
+    for qubit, core in log:
+        congestion += per_move.relocate(qubit, core)
+        peak = max(peak, per_move.occupancy(core))
+    assert one_call.relocate_all(log, one_call.max_occupancy()) == (congestion, peak)
+    assert congestion > 0 and peak > 2  # the log congests and raises the peak past the start's 2
+    assert list(map(one_call.core_of, range(12))) == list(map(per_move.core_of, range(12)))
+    assert list(map(one_call.occupancy, range(16))) == list(map(per_move.occupancy, range(16)))
+
+
 @pytest.mark.parametrize("clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))], ids=["deepcopy", "pickle"])
 def test_a_copied_map_looks_up_its_own_qubits(clone):
     original = PlacementMap.initial_mapping(4, MESH, 1)

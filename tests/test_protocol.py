@@ -9,6 +9,7 @@ from qnocsim.engine import SimConfig
 from qnocsim.protocol import (
     ProtocolError,
     TimingConfig,
+    chain_attempts,
     entanglement_attempts,
     request_stream,
 )
@@ -37,6 +38,42 @@ def test_attempt_sequence_is_reproducible_per_stream():
     draws_b = [entanglement_attempts(timing, request_stream(7, gate_id)) for gate_id in range(20)]
     assert draws_a == draws_b
     assert draws_a != [entanglement_attempts(timing, request_stream(8, g)) for g in range(20)]
+
+
+@pytest.mark.parametrize("p_bsm", [0.5, 0.3])
+def test_a_chain_draw_equals_one_draw_per_hop(p_bsm):
+    """Drawing n hops in one call takes the values, and leaves the stream at
+    the next value, that n one-hop draws do."""
+    timing = TimingConfig(p_bsm=p_bsm)
+    for gate_id in range(40):
+        hops = gate_id % 7
+        chain, per_hop = request_stream(3, gate_id), request_stream(3, gate_id)
+        assert chain_attempts(timing, chain, hops) == [entanglement_attempts(timing, per_hop) for _ in range(hops)]
+        assert chain.random() == per_hop.random()
+
+
+def test_a_certain_chain_draw_takes_one_attempt_per_hop_without_touching_the_stream():
+    rng = random.Random(0)
+    assert chain_attempts(TimingConfig(p_bsm=1.0), rng, 5) == [1] * 5
+    assert chain_attempts(TimingConfig(p_bsm=1.0), None, 3) == [1] * 3
+    assert rng.random() == random.Random(0).random()
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_a_chain_draw_fails_at_the_hop_that_runs_out_of_attempts(k):
+    """The k-th hop needs 3 attempts with a cap of 2: the chain draw raises
+    the one-hop draw's ProtocolError, having consumed the same values."""
+    cfg = TimingConfig(p_bsm=0.5, max_attempts=2)
+    script = [0.9, 0.1] * k + [0.9, 0.9, 0.9]
+    with pytest.raises(ProtocolError) as one_hop:
+        rng = ScriptedRng(script)
+        for _ in range(k + 1):
+            entanglement_attempts(cfg, rng)
+    chain = ScriptedRng(script + [0.5])
+    with pytest.raises(ProtocolError) as whole_chain:
+        chain_attempts(cfg, chain, k + 2)
+    assert str(whole_chain.value) == str(one_hop.value) == "entanglement not heralded within 2 attempts"
+    assert chain.values == [0.9, 0.5]
 
 
 def test_invalid_probability_rejected():
