@@ -11,7 +11,8 @@ Configuration is a flat key-value text format with dotted keys::
     synthetic.depth = 5
     sweep.seeds = 1,2,3
 
-``#`` starts a comment. Command-line flags override file values. The
+``#`` starts a comment. A file sets each key at most once, and no list item
+may be empty or repeat another. Command-line flags override file values. The
 synthetic workload has one key per sweep axis: ``sweep.cr`` (default
 ``fixed:3``), ``sweep.requests`` (required) and ``synthetic.depth`` (without
 it, one request per layer); every other workload rejects all three. Every
@@ -90,7 +91,9 @@ class ConfigError(ValueError):
 
 
 def parse_config(text: str, source: str = "<config>") -> dict[str, str]:
+    """The key-value lines of a config file; a key set twice is an error."""
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -103,7 +106,9 @@ def parse_config(text: str, source: str = "<config>") -> dict[str, str]:
             raise ConfigError(f"{source}:{line_no}: empty key or value")
         if key not in KNOWN_KEYS:
             raise ConfigError(f"{source}:{line_no}: {_unknown_key_message(key)}")
-        values[key] = value
+        if key in values:
+            raise ConfigError(f"{source}:{line_no}: duplicate key {key!r} (first set on line {first_line[key]})")
+        values[key], first_line[key] = value, line_no
     return values
 
 
@@ -168,7 +173,7 @@ def _get_bool(config, key):
 
 
 def _int_list(token: str, key: str) -> list[int]:
-    """Parse ``1,2,3`` or an inclusive range ``1..32``; neither may be empty."""
+    """Parse ``1,2,3`` (see _list) or an inclusive range ``1..32``, which may not be empty."""
     token = token.strip()
     if ".." in token:
         lo, _, hi = token.partition("..")
@@ -179,13 +184,31 @@ def _int_list(token: str, key: str) -> list[int]:
         if not values:
             raise ConfigError(f"{key}: empty range {token!r}")
         return values
-    try:
-        values = [int(part) for part in token.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"{key}: bad integer list {token!r}") from None
-    if not values:
+
+    def parse(item):
+        try:
+            return int(item)
+        except ValueError:
+            raise ConfigError(f"{key}: bad integer list {token!r}") from None
+
+    return _list(token, key, parse)
+
+
+def _list(token: str, key: str, parse) -> list:
+    """Each item of a comma-separated list, parsed; the list may not be empty,
+    and no item may be empty or repeat another, which would run a point twice."""
+    items = [item.strip() for item in token.split(",")]
+    if not any(items):
         raise ConfigError(f"{key}: empty list {token!r}")
-    return values
+    if "" in items:
+        raise ConfigError(f"{key}: empty item in {token!r}")
+    values: dict = {}  # ordered, with a set's lookup
+    for item in items:
+        value = parse(item)
+        if value in values:
+            raise ConfigError(f"{key}: repeated item {item!r} in {token!r}")
+        values[value] = None
+    return list(values)
 
 
 def timing_from_config(config: dict[str, str]) -> TimingConfig:
@@ -324,10 +347,7 @@ def _synthetic_runs(config, topology: MeshTopology, seeds: list[int]):
     counts = _int_list(config["sweep.requests"], "sweep.requests")
     if min(counts) < 1:
         raise ConfigError(f"sweep.requests: expected positive counts, got {min(counts)}")
-    cr_token = config.get("sweep.cr", "fixed:3")
-    cr_modes = [_cr_mode(t.strip(), topology) for t in cr_token.split(",") if t.strip()]
-    if not cr_modes:
-        raise ConfigError(f"sweep.cr: empty list {cr_token!r}")
+    cr_modes = _list(config.get("sweep.cr", "fixed:3"), "sweep.cr", lambda item: _cr_mode(item, topology))
     depth_k = _get_int(config, "synthetic.depth", 1) if "synthetic.depth" in config else None
     qpc = _get_int(config, "sim.n_per_core")
     for cr_mode in cr_modes:

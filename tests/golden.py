@@ -3,6 +3,8 @@
 ``PYTHONPATH=src python tests/golden.py`` rewrites all of it, one directory
 per ARTIFACTS entry; tests/test_golden.py checks that each entry still writes
 those bytes. A documented model change commits the resulting diff of numbers.
+The command needs no test framework: this module imports only qnocsim and
+perfbench's workload table.
 """
 
 import csv
@@ -15,12 +17,51 @@ DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "golden"
 sys.path.append(str(DATA.parent.parent / "perfbench"))
 
-from qnocsim.benchgen import gen_cuccaro, gen_mcmt, gen_qft, gen_quantum_volume  # noqa: E402
+from qnocsim.benchgen import (  # noqa: E402
+    CrMode, SynthSpec, gen_cuccaro, gen_mcmt, gen_qft, gen_quantum_volume, gen_synthetic,
+)
 from qnocsim.circuit import serialize_circuit  # noqa: E402
-from qnocsim.engine import run  # noqa: E402
+from qnocsim.engine import SimConfig, run  # noqa: E402
 from qnocsim.experiment import default_bundle, load_config, merge_config, run_experiment  # noqa: E402
-from test_report_records import CIRCUIT, EAGER_LOGS  # noqa: E402
+from qnocsim.protocol import TimingConfig  # noqa: E402
+from qnocsim.topology import MeshTopology  # noqa: E402
 from workloads import WORKLOADS, seed_overrides  # noqa: E402  (perfbench's table, read only)
+
+MESH = MeshTopology(4, 4)
+CIRCUIT = gen_synthetic(SynthSpec(target_depth=5, requests_per_layer=3, cr_mode=CrMode("random", 6), seed=8), MESH, 8)
+LOSSY = SimConfig(topology=MESH, n_per_core=8, m_per_core=2, timing=TimingConfig(p_bsm=0.5), strategy="twt", seed=8)
+HH_LOSSY = dataclasses.replace(LOSSY, strategy="hh")
+CONTENDED = dataclasses.replace(LOSSY, m_per_core=1, strategy="hh", pipeline_hops=True)
+FRACTIONAL = dataclasses.replace(
+    LOSSY,
+    timing=TimingConfig(t_epr=0.1, t_meas=1 / 3, t_classical=0.7, t_correct=0.05, t_gate=0.3, p_bsm=0.5),
+    pipeline_hops=True,
+)
+
+# The four runs of CIRCUIT whose hop and request logs are pinned, with their
+# hop and request counts. None of the times of "twt fractional" is integral.
+EAGER_LOGS = {
+    "twt lossy": (LOSSY, 48, 15),
+    "hh lossy": (HH_LOSSY, 44, 15),
+    "hh contended pipelined": (CONTENDED, 44, 15),
+    "twt fractional": (FRACTIONAL, 48, 15),
+}
+
+# The synthetic generator's circuits whose text is pinned, as (mesh width,
+# height, cr mode, depth, requests per layer, qubits per core, seed). Any
+# change to the candidate order or to the sequence of random draws changes
+# their text. In the last case every core fills during the first layer, so
+# the source scan must skip cores that have no free qubit left.
+SYNTHETIC_CIRCUITS = [
+    (4, 4, "fixed:1", 10, 3, 8, 1),
+    (4, 4, "fixed:3", 10, 2, 8, 2),
+    (4, 4, "fixed:6", 10, 2, 8, 3),
+    (4, 4, "random:6", 10, 4, 8, 1),
+    (8, 8, "random:14", 40, 16, 16, 1),
+    (1, 6, "random:5", 6, 2, 8, 1),
+    (6, 1, "fixed:2", 6, 2, 8, 1),
+    (2, 3, "random:3", 1, 3, 1, 1),
+]
 
 
 def _workload(name: str, seed: int):
@@ -52,14 +93,20 @@ def _logs(cfg):
     return write
 
 
-def _named_circuits(out_dir):
-    """The named generators' circuits at the bundle's sizes, in the circuit text format."""
-    for label, circuit in (
-        ("qft32", gen_qft(32)),
-        ("cuccaro15", gen_cuccaro(15)),
-        ("mcmt12x9", gen_mcmt(12, 9)),
-        ("qv32x5-seed7", gen_quantum_volume(32, 5, 7)),
-    ):
+def _circuits(out_dir):
+    """The generators' circuits in the circuit text format: the named ones at
+    the bundle's sizes, and each SYNTHETIC_CIRCUITS case in a file named after it."""
+    circuits = {
+        "qft32": gen_qft(32),
+        "cuccaro15": gen_cuccaro(15),
+        "mcmt12x9": gen_mcmt(12, 9),
+        "qv32x5-seed7": gen_quantum_volume(32, 5, 7),
+    }
+    for width, height, cr, depth_k, rpl, qpc, seed in SYNTHETIC_CIRCUITS:
+        spec = SynthSpec(target_depth=depth_k, requests_per_layer=rpl, cr_mode=CrMode.parse(cr), seed=seed)
+        label = f"synthetic-{width}x{height}-{cr.replace(':', '')}-d{depth_k}-rpl{rpl}-n{qpc}-seed{seed}"
+        circuits[label] = gen_synthetic(spec, MeshTopology(width, height), qpc)
+    for label, circuit in circuits.items():
         (out_dir / f"{label}.qc").write_text(serialize_circuit(circuit), encoding="utf-8")
 
 
@@ -69,7 +116,7 @@ ARTIFACTS = {
     "golden-cfg": lambda out_dir: run_experiment(
         merge_config(load_config(str(DATA / "golden.cfg"))), str(out_dir), "golden"
     ),
-    "circuits": _named_circuits,
+    "circuits": _circuits,
 }
 
 if __name__ == "__main__":

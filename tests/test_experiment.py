@@ -3,11 +3,13 @@ import json
 import math
 import os
 import shlex
+import shutil
 import weakref
 from pathlib import Path
 
 import pytest
 
+from golden import WORKLOADS, seed_overrides  # perfbench's workload table
 from oracles import two_qubit_count
 import qnocsim
 from qnocsim import cli, engine, experiment
@@ -81,14 +83,35 @@ def test_readme_configuration_block_names_exactly_the_known_keys():
     assert {key: values[key] for key in experiment.DEFAULTS} == experiment.DEFAULTS
 
 
-def test_readme_command_line_block_parses():
+def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    """Each line of the README's Command line block exits 0, in order, in a
+    directory that holds only exp.cfg, and every file it names then exists."""
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     commands = [shlex.split(line, comments=True) for line in section.split("```\n")[1].splitlines()]
     assert commands and all(argv[0] == "qnocsim" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(DATA / "golden.cfg", "exp.cfg")
     parser = cli.build_parser()
     for argv in commands:
-        assert parser.parse_args(argv[1:]).func
+        assert cli.main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+        args = vars(parser.parse_args(argv[1:]))
+        workload = args.get("workload") or ""  # a generator name, or a circuit file
+        named = [args.get("config"), args.get("csv"), args.get("out"), workload if workload.endswith(".qc") else None]
+        for path in filter(None, named):
+            assert Path(path).exists(), (argv, path)
+
+
+def test_parse_config_rejects_a_key_set_twice(tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        parse_config("workload = qft\nqft.qubits = 4\nworkload = cuccaro\n", source="bad.cfg")
+    assert str(err.value) == "bad.cfg:3: duplicate key 'workload' (first set on line 1)"
+    # across --set flags, and over the file, the last value still wins
+    config = tmp_path / "exp.cfg"
+    config.write_text("workload = cuccaro\nqft.qubits = 5\n")
+    flags = ["--set", "workload=qft", "--set", "qft.qubits=3", "--set", "qft.qubits=4"]
+    assert cli.main(["gen", "--config", str(config), *flags]) == 0
+    assert capsys.readouterr().out == serialize_circuit(gen_qft(4))
 
 
 def test_merge_layers_override_defaults():
@@ -109,6 +132,15 @@ def test_int_list_forms():
         ("sweep.seeds", "3..1", "sweep.seeds: empty range '3..1'"),
         ("sweep.requests", ",", "sweep.requests: empty list ','"),
         ("sweep.cr", ",", "sweep.cr: empty list ','"),
+        # an empty item is not dropped, and a repeated one would run, and weigh in the JSON means, twice
+        ("sweep.seeds", "1,,2", "sweep.seeds: empty item in '1,,2'"),
+        ("sweep.seeds", "1,2,", "sweep.seeds: empty item in '1,2,'"),
+        ("sweep.seeds", "1,1", "sweep.seeds: repeated item '1' in '1,1'"),
+        ("sweep.seeds", "1, 2, 01", "sweep.seeds: repeated item '01' in '1, 2, 01'"),
+        ("sweep.requests", "4,,8", "sweep.requests: empty item in '4,,8'"),
+        ("sweep.requests", "4,8,4", "sweep.requests: repeated item '4' in '4,8,4'"),
+        ("sweep.cr", "fixed:1,,fixed:3", "sweep.cr: empty item in 'fixed:1,,fixed:3'"),
+        ("sweep.cr", "fixed:3,fixed:1,fixed:3", "sweep.cr: repeated item 'fixed:3' in 'fixed:3,fixed:1,fixed:3'"),
     ):
         with pytest.raises(ConfigError) as err:
             iter_points(merge_config({"workload": "synthetic", "sweep.requests": "1..4", key: token}))
@@ -375,6 +407,18 @@ def test_cli_gen_then_compare_matches_the_generated_workload(tmp_path):
     assert from_file == generated
 
 
+def test_a_generated_qft256_file_writes_the_pinned_qft_allpairs_bytes(tmp_path, monkeypatch):
+    """A parsed copy of the generated 32,896-gate circuit simulates byte for
+    byte like the generator's; the file's basename gives it the label qft256."""
+    monkeypatch.chdir(tmp_path)
+    config = {**WORKLOADS["qft_allpairs"].config, **seed_overrides("qft_allpairs", 1)}
+    Path("allpairs.cfg").write_text("".join(f"{key} = {value}\n" for key, value in config.items()))
+    assert cli.main(["gen", "--config", "allpairs.cfg", "--out", "qft256.qc"]) == 0
+    argv = ["run", "--config", "allpairs.cfg", "--workload", "qft256.qc", "--out", "out", "--name", "qft_allpairs"]
+    assert cli.main(argv) == 0
+    assert_same_files(tmp_path / "out", "qft_allpairs-seed1")
+
+
 def test_cli_gen_rejects_a_configuration_of_several_circuits(capsys):
     assert cli.main(["gen", "--workload", "synthetic", "--requests", "3,4"]) == 1
     assert "gen writes one circuit; the configuration builds 2" in capsys.readouterr().err
@@ -502,6 +546,8 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
     big.write_text("qubits 40\ncx 0 39\n")
     undecodable = tmp_path / "bin.cfg"
     undecodable.write_bytes(b"workload = qft\n\xff\n")
+    twice = tmp_path / "twice.cfg"
+    twice.write_text("workload = qft\nqft.qubits = 4\nworkload = cuccaro\n")
     for flags, message in (
         (["--workload", "synthetic", "--requests", "4", "--depth", "0"],
          "synthetic.depth: expected a positive integer, got 0"),
@@ -523,6 +569,8 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
          "sim.n_per_core: qft40 (workload 'qft') has 40 qubits, more than 16 cores x 2"),
         (["--workload", str(big)], f"sim.n_per_core: big (workload '{big}') has 40 qubits, more than 16 cores x 2"),
         (["--config", str(undecodable)], f"{undecodable}: not UTF-8: byte 0xff (invalid start byte)"),
+        (["--config", str(twice)], f"{twice}:3: duplicate key 'workload' (first set on line 1)"),
+        (["--workload", "qft", "--set", "sweep.seeds=1,,2"], "sweep.seeds: empty item in '1,,2'"),
         # each generator range error names its config key
         (["--workload", "qv", "--set", "qv.layers=0"], "qv.layers: expected a positive integer, got 0"),
         (["--workload", "qv", "--set", "qv.qubits=1"], "qv.qubits: expected an integer of at least 2, got 1"),

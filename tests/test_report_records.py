@@ -10,32 +10,13 @@ import tracemalloc
 
 import pytest
 
+from golden import CIRCUIT, CONTENDED, EAGER_LOGS, LOSSY
 from qnocsim import engine
-from qnocsim.benchgen import CrMode, SynthSpec, gen_quantum_volume, gen_synthetic
+from qnocsim.benchgen import gen_quantum_volume
 from qnocsim.circuit import Circuit
 from qnocsim.engine import HopRecord, RequestRecord, SimConfig, audit_resources, run
 from qnocsim.protocol import TimingConfig
 from qnocsim.topology import MeshTopology
-
-MESH = MeshTopology(4, 4)
-CIRCUIT = gen_synthetic(SynthSpec(target_depth=5, requests_per_layer=3, cr_mode=CrMode("random", 6), seed=8), MESH, 8)
-LOSSY = SimConfig(topology=MESH, n_per_core=8, m_per_core=2, timing=TimingConfig(p_bsm=0.5), strategy="twt", seed=8)
-HH_LOSSY = dataclasses.replace(LOSSY, strategy="hh")
-CONTENDED = dataclasses.replace(LOSSY, m_per_core=1, strategy="hh", pipeline_hops=True)
-FRACTIONAL = dataclasses.replace(
-    LOSSY,
-    timing=TimingConfig(t_epr=0.1, t_meas=1 / 3, t_classical=0.7, t_correct=0.05, t_gate=0.3, p_bsm=0.5),
-    pipeline_hops=True,
-)
-
-# The four runs whose hop and request logs tests/golden.py pins, with their
-# hop and request counts. None of the times of "twt fractional" is integral.
-EAGER_LOGS = {
-    "twt lossy": (LOSSY, 48, 15),
-    "hh lossy": (HH_LOSSY, 44, 15),
-    "hh contended pipelined": (CONTENDED, 44, 15),
-    "twt fractional": (FRACTIONAL, 48, 15),
-}
 
 
 @pytest.mark.parametrize("pipeline_hops", [False, True], ids=["sequential", "pipelined"])
