@@ -93,6 +93,19 @@ def _logs(cfg):
     return write
 
 
+def synthetic_label(case):
+    """The golden file name, without .qc, of one SYNTHETIC_CIRCUITS case."""
+    width, height, cr, depth_k, rpl, qpc, seed = case
+    return f"synthetic-{width}x{height}-{cr.replace(':', '')}-d{depth_k}-rpl{rpl}-n{qpc}-seed{seed}"
+
+
+def synthetic_circuit(case):
+    """The synthetic generator's circuit for one SYNTHETIC_CIRCUITS case."""
+    width, height, cr, depth_k, rpl, qpc, seed = case
+    spec = SynthSpec(target_depth=depth_k, requests_per_layer=rpl, cr_mode=CrMode.parse(cr), seed=seed)
+    return gen_synthetic(spec, MeshTopology(width, height), qpc)
+
+
 def _circuits(out_dir):
     """The generators' circuits in the circuit text format: the named ones at
     the bundle's sizes, and each SYNTHETIC_CIRCUITS case in a file named after it."""
@@ -102,10 +115,8 @@ def _circuits(out_dir):
         "mcmt12x9": gen_mcmt(12, 9),
         "qv32x5-seed7": gen_quantum_volume(32, 5, 7),
     }
-    for width, height, cr, depth_k, rpl, qpc, seed in SYNTHETIC_CIRCUITS:
-        spec = SynthSpec(target_depth=depth_k, requests_per_layer=rpl, cr_mode=CrMode.parse(cr), seed=seed)
-        label = f"synthetic-{width}x{height}-{cr.replace(':', '')}-d{depth_k}-rpl{rpl}-n{qpc}-seed{seed}"
-        circuits[label] = gen_synthetic(spec, MeshTopology(width, height), qpc)
+    for case in SYNTHETIC_CIRCUITS:
+        circuits[synthetic_label(case)] = synthetic_circuit(case)
     for label, circuit in circuits.items():
         (out_dir / f"{label}.qc").write_text(serialize_circuit(circuit), encoding="utf-8")
 

@@ -1,5 +1,6 @@
 import pytest
 
+from golden import GOLDEN, SYNTHETIC_CIRCUITS, synthetic_circuit, synthetic_label
 from oracles import two_qubit_count
 from qnocsim.benchgen import (
     CrMode,
@@ -11,7 +12,7 @@ from qnocsim.benchgen import (
     gen_quantum_volume,
     gen_synthetic,
 )
-from qnocsim.circuit import depth
+from qnocsim.circuit import depth, serialize_circuit
 from qnocsim.topology import MeshTopology
 
 MESH = MeshTopology(4, 4)
@@ -98,6 +99,15 @@ def test_infeasible_requests_raise_generation_errors():
     # corner walk at radius 6 starves with one qubit per core
     with pytest.raises(GenerationError):
         gen_synthetic(SynthSpec(8, 1, CrMode("fixed", 6), 0), MESH, 1)
+
+
+@pytest.mark.parametrize("case", SYNTHETIC_CIRCUITS, ids=lambda c: f"{c[0]}x{c[1]}-{c[2]}")
+def test_synthetic_circuits_match_pinned_digests(case):
+    """Each pinned synthetic case generates exactly its committed golden text;
+    the files hash to the sha256 digests this test used to hold."""
+    pinned = (GOLDEN / "circuits" / f"{synthetic_label(case)}.qc").read_text(encoding="utf-8")
+    assert serialize_circuit(synthetic_circuit(case)).splitlines() == pinned.splitlines()
+    assert serialize_circuit(synthetic_circuit(case)) == pinned
 
 
 def test_cr_mode_parsing():
