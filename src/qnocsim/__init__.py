@@ -3,10 +3,10 @@ meshes of quantum cores: hop-by-hop versus two-way teleportation routing,
 end-to-end communication delay, and expanded circuit depth."""
 
 from .benchgen import CrMode, GenerationError, SynthSpec, gen_cuccaro, gen_mcmt, gen_qft, gen_quantum_volume, gen_synthetic
-from .circuit import Circuit, Gate, ParseError, depth, layerize, parse_circuit, serialize_circuit
+from .circuit import Circuit, Gate, ParseError, layerize, parse_circuit, serialize_circuit
 from .engine import SimConfig, SimReport, audit_resources, run
 from .placement import CapacityError, PlacementMap
-from .protocol import ProtocolError, TimingConfig, entanglement_attempts
+from .protocol import ProtocolError, TimingConfig
 from .strategy import CommPlan, plan, plan_hh, plan_twt
 from .topology import MeshTopology
 
@@ -26,8 +26,6 @@ __all__ = [
     "SynthSpec",
     "TimingConfig",
     "audit_resources",
-    "depth",
-    "entanglement_attempts",
     "gen_cuccaro",
     "gen_mcmt",
     "gen_qft",

@@ -36,20 +36,10 @@ from .strategy import STRATEGIES
 from .topology import MeshTopology
 
 TEXT_COLUMNS = ("workload", "strategy", "cr_mode")
-CSV_COLUMNS = [
-    "workload",
-    "strategy",
-    "cr_mode",
-    "num_requests",
-    "seed",
-    "comm_delay_sum",
-    "comm_delay_critical",
-    "total_delay",
-    "original_depth",
-    "expanded_depth",
-    "congestion_events",
-    "max_core_occupancy",
-]
+# SimReport totals that are columns under their field names, in column order.
+REPORT_COLUMNS = ("comm_delay_sum", "comm_delay_critical", "total_delay", "original_depth", "expanded_depth",
+                  "congestion_events", "max_core_occupancy")
+CSV_COLUMNS = [*TEXT_COLUMNS, "num_requests", "seed", *REPORT_COLUMNS]
 
 BENCHMARK_WORKLOADS = ("qft", "cuccaro", "mcmt", "qv")
 
@@ -114,7 +104,7 @@ def parse_config(text: str, source: str = "<config>") -> dict[str, str]:
 
 def load_config(path: str) -> dict[str, str]:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:  # -sig: a leading byte-order mark is dropped
             text = handle.read()
     except UnicodeDecodeError as error:
         raise ConfigError(f"{path}: {_not_utf8(error)}") from None
@@ -329,7 +319,7 @@ def _runs(config, topology: MeshTopology):
         circuit, label = gen_quantum_volume(n, layers, _get_int(config, "qv.seed")), f"qv{n}x{layers}"
     elif os.path.exists(workload):
         try:
-            with open(workload, "r", encoding="utf-8") as handle:
+            with open(workload, "r", encoding="utf-8-sig") as handle:
                 circuit = parse_circuit(handle.read())
         except UnicodeDecodeError as error:
             raise ParseError(_not_utf8(error), None, workload) from None
@@ -382,20 +372,11 @@ def _fmt(value) -> str:
 
 
 def row_for(point: RunPoint, report: SimReport) -> dict[str, object]:
-    return {
-        "workload": point.workload,
-        "strategy": point.cfg.strategy,
-        "cr_mode": point.cr_mode,
-        "num_requests": report.inter_core_requests,
-        "seed": point.cfg.seed,
-        "comm_delay_sum": report.comm_delay_sum,
-        "comm_delay_critical": report.comm_delay_critical,
-        "total_delay": report.total_delay,
-        "original_depth": report.original_depth,
-        "expanded_depth": report.expanded_depth,
-        "congestion_events": report.congestion_events,
-        "max_core_occupancy": report.max_core_occupancy,
-    }
+    row = {"workload": point.workload, "strategy": point.cfg.strategy, "cr_mode": point.cr_mode,
+           "num_requests": report.inter_core_requests, "seed": point.cfg.seed}
+    for name in REPORT_COLUMNS:
+        row[name] = getattr(report, name)
+    return row
 
 
 def run_experiment(config: dict[str, str], out_dir: str, name: str = "results") -> tuple[str, str]:
@@ -519,7 +500,7 @@ def read_rows(csv_path: str) -> list[dict]:
     """A results CSV's rows, with every column but workload, strategy and
     cr_mode as a finite float and strategy one of STRATEGIES; ``summarize``
     of them is the run's JSON summary."""
-    with open(csv_path, "r", encoding="utf-8", newline="") as handle:
+    with open(csv_path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle)
         try:
             missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]

@@ -48,9 +48,6 @@ class PlacementMap:
             raise CapacityError(f"{num_qubits} qubits exceed {topology.num_cores} cores x {n_per_core}")
         return cls([q // n_per_core for q in range(num_qubits)], topology.num_cores, n_per_core)
 
-    def occupancy(self, core: int) -> int:
-        return self._core_load[core]
-
     def max_occupancy(self) -> int:
         return max(self._core_load)
 

@@ -43,14 +43,8 @@ class MeshTopology:
         """Maximum hop distance between any two cores."""
         return (self.width - 1) + (self.height - 1)
 
-    def core_at(self, x: int, y: int) -> int:
-        """Core id at mesh coordinate (x, y)."""
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            raise ValueError(f"coordinate ({x}, {y}) outside {self.width}x{self.height} mesh")
-        return y * self.width + x
-
     def coord_of(self, core: int) -> tuple[int, int]:
-        """(x, y) coordinate of a core id; inverse of core_at."""
+        """(x, y) coordinate of a core id, which is y * width + x."""
         self._check_core(core)
         return self._coords[core]
 

@@ -54,6 +54,55 @@ def expanded_by_program_order(circuit: Circuit, hops) -> Circuit:
     return Circuit.from_ops(circuit.num_qubits, ops)
 
 
+def layer_bounds(requests, hops, cfg) -> dict[float, tuple[float, float, float, float]]:
+    """Per layer, keyed by its requests' issue time, in issue order: (critical
+    latency, chain floor, link floor, core floor), from a run's records alone.
+
+    A hop holds its link and a communication qubit at each end for at least
+    d = attempts * t_epr + tail, with tail = t_meas + t_classical + t_correct,
+    and a layer's hops lie within [issue, issue + critical latency). So under
+    any grant rule that respects capacity, the critical latency is at least:
+    - chain: the latest chain end with no wait, summed as the engine sums,
+      from f = issue; a sequential hop gives f = (f + a * t_epr) + tail, a
+      pipelined one f = max(issue + a * t_epr, f) + tail;
+    - link: the busiest link's sum of d (capacity 1);
+    - core: the busiest core's sum of d, each hop counted at both ends,
+      divided by m.
+    """
+    timing = cfg.timing
+    t_epr, tail = timing.t_epr, timing.t_meas + timing.t_classical + timing.t_correct
+    issue_of = {request.gate_id: request.issue for request in requests}
+    chain_end: dict[tuple, float] = {}  # (issue, gate, chain) -> the chain's floor end so far
+    link_held: dict[tuple, float] = {}  # (issue, link) -> sum of d
+    core_held: dict[tuple, float] = {}  # (issue, core) -> sum of d
+    for hop in sorted(hops, key=lambda h: (h.gate_id, h.chain, h.hop_index)):
+        issue = issue_of[hop.gate_id]
+        key = (issue, hop.gate_id, hop.chain)
+        f = chain_end.get(key, issue)
+        if cfg.pipeline_hops:
+            f = max(issue + hop.attempts * t_epr, f) + tail
+        else:
+            f = (f + hop.attempts * t_epr) + tail
+        chain_end[key] = f
+        d = hop.attempts * t_epr + tail
+        link_held[issue, hop.link] = link_held.get((issue, hop.link), 0.0) + d
+        for core in (hop.src_core, hop.dst_core):
+            core_held[issue, core] = core_held.get((issue, core), 0.0) + d
+    critical = _max_per_issue({(r.issue, r.gate_id): r.latency for r in requests})
+    latest_end, busiest_link, busiest_core = map(_max_per_issue, (chain_end, link_held, core_held))
+    m = cfg.m_per_core
+    return {issue: (critical[issue], latest_end[issue] - issue, busiest_link[issue], busiest_core[issue] / m)
+            for issue in sorted(critical)}
+
+
+def _max_per_issue(values: dict[tuple, float]) -> dict[float, float]:
+    """The largest value per issue time, of values keyed (issue, ...)."""
+    out: dict[float, float] = {}
+    for (issue, *_), value in values.items():
+        out[issue] = max(out.get(issue, value), value)
+    return out
+
+
 def two_qubit_count(circuit: Circuit) -> int:
     return sum(1 for g in circuit.gates if len(g.qubits) == 2)
 
@@ -102,7 +151,7 @@ def pmf_mean_var(pmf: dict[float, float]) -> tuple[float, float]:
 
 
 def xy_route_by_steps(topology: MeshTopology, src: int, dst: int) -> list[int]:
-    """XY route walked one coordinate step at a time through core_at."""
+    """XY route walked one coordinate step at a time, numbering each core y * width + x."""
     sx, sy = topology.coord_of(src)
     dx, dy = topology.coord_of(dst)
     route = [src]
@@ -110,11 +159,11 @@ def xy_route_by_steps(topology: MeshTopology, src: int, dst: int) -> list[int]:
     step = 1 if dx > x else -1
     while x != dx:
         x += step
-        route.append(topology.core_at(x, y))
+        route.append(y * topology.width + x)
     step = 1 if dy > y else -1
     while y != dy:
         y += step
-        route.append(topology.core_at(x, y))
+        route.append(y * topology.width + x)
     return route
 
 

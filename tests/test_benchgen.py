@@ -12,7 +12,7 @@ from qnocsim.benchgen import (
     gen_quantum_volume,
     gen_synthetic,
 )
-from qnocsim.circuit import depth, serialize_circuit
+from qnocsim.circuit import serialize_circuit
 from qnocsim.topology import MeshTopology
 
 MESH = MeshTopology(4, 4)
@@ -66,7 +66,7 @@ def test_depth_contract_is_exact():
     for depth_k, rpl in ((1, 1), (5, 1), (5, 3), (10, 2), (32, 1)):
         spec = SynthSpec(target_depth=depth_k, requests_per_layer=rpl, cr_mode=CrMode("fixed", 1), seed=6)
         c = gen_synthetic(spec, MESH, 8)
-        assert depth(c) == depth_k
+        assert len(c.layers) == depth_k
         assert two_qubit_count(c) == depth_k * rpl
         assert len(c.gates) == depth_k * rpl
 
@@ -212,7 +212,7 @@ def test_qv_two_qubits_always_pair_zero_and_one():
     c = gen_quantum_volume(2, 5, seed=1)
     assert len(c.gates) == 5
     assert all(set(g.qubits) == {0, 1} for g in c.gates)
-    assert depth(c) == 5
+    assert len(c.layers) == 5
 
 
 @pytest.mark.parametrize("n,layers", [(4, 3), (5, 4), (9, 2), (16, 5)])

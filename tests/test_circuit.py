@@ -55,7 +55,7 @@ def test_no_layer_shares_an_operand():
         for layer in layerize(c):
             seen = set()
             for gate_id in layer:
-                qubits = set(c.gate_by_id(gate_id).qubits)
+                qubits = set(c.gates[gate_id].qubits)
                 assert not (qubits & seen)
                 seen |= qubits
 

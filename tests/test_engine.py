@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 from itertools import permutations
 from operator import attrgetter
@@ -9,16 +10,17 @@ from oracles import (
     chain_latency_pmf,
     dag_depth_oracle,
     expanded_by_program_order,
+    layer_bounds,
     max_pmf,
     phase_finish,
     pmf_mean_var,
 )
 from qnocsim import engine
 from qnocsim.benchgen import CrMode, SynthSpec, gen_qft, gen_synthetic
-from qnocsim.circuit import Circuit, Gate, depth
+from qnocsim.circuit import Circuit, Gate
 from qnocsim.engine import SimConfig, audit_resources, run
 from qnocsim.experiment import RunPoint, paired_reductions, row_for
-from qnocsim.placement import CapacityError, PlacementMap
+from qnocsim.placement import CapacityError
 from qnocsim.protocol import TimingConfig
 from qnocsim.strategy import plan_hh, plan_twt
 from qnocsim.topology import MeshTopology
@@ -102,7 +104,7 @@ def test_expanded_depth_matches_independent_dag_oracle(strategy):
             report = run(c, cfg)
             expanded = expanded_by_program_order(c, report.hops)
             assert report.expanded_depth == dag_depth_oracle(expanded)
-            assert report.expanded_depth == depth(expanded)
+            assert report.expanded_depth == len(expanded.layers)
             assert report.expanded_depth >= report.original_depth
 
 
@@ -194,16 +196,37 @@ def test_every_sequential_hop_matches_the_protocol_closed_form(grid):
 
 def test_relocating_in_finish_order_replays_the_placement(grid):
     """Qubits relocate in hop finish order (ties by gate, chain, hop index):
-    replaying the hops in that order gives the final placement, the
+    replaying the hops in that order on a plain qubit -> core list, with each
+    core's load counted from the list, gives the final placement, the
     congestion count and the peak core occupancy."""
     for case, circuit, cfg, report in grid:
-        placement = PlacementMap.initial_mapping(circuit.num_qubits, cfg.topology, cfg.n_per_core)
-        congestion, peak = 0, placement.max_occupancy()
+        qubit_core = [q // cfg.n_per_core for q in range(circuit.num_qubits)]
+        congestion, peak = 0, max(map(qubit_core.count, range(cfg.topology.num_cores)))
         for hop in sorted(report.hops, key=lambda h: (h.finish, h.gate_id, h.chain, h.hop_index)):
-            congestion += placement.relocate(hop.qubit, hop.dst_core)
-            peak = max(peak, placement.occupancy(hop.dst_core))
-        assert tuple(map(placement.core_of, range(circuit.num_qubits))) == report.final_placement, case
+            assert qubit_core[hop.qubit] == hop.src_core, case
+            qubit_core[hop.qubit] = hop.dst_core
+            held = qubit_core.count(hop.dst_core)
+            congestion += held > cfg.n_per_core
+            peak = max(peak, held)
+        assert tuple(qubit_core) == report.final_placement, case
         assert (congestion, peak) == (report.congestion_events, report.max_core_occupancy), case
+
+
+def test_every_layer_meets_its_chain_link_and_core_floors(grid):
+    """No layer's critical latency falls below its chain, link or core floor
+    (oracles.layer_bounds): the chain floor exactly, the two load floors up
+    to the rounding of their sums. A one-request layer at m >= 2 without
+    pipelining never waits, so its critical latency is its chain floor."""
+    tight = 0
+    for case, _, cfg, report in grid:
+        sizes = Counter(request.issue for request in report.requests)
+        for issue, (critical, chain, link, core) in layer_bounds(report.requests, report.hops, cfg).items():
+            assert critical >= chain, (case, issue)
+            assert max(link, core) <= critical * (1 + 1e-12), (case, issue)
+            if sizes[issue] == 1 and cfg.m_per_core >= 2 and not cfg.pipeline_hops:
+                assert critical == chain, (case, issue)
+                tight += 1
+    assert tight == 1136
 
 
 def test_expanded_depth_matches_the_oracles_and_ignores_timing_and_resources(grid):
@@ -213,7 +236,7 @@ def test_expanded_depth_matches_the_oracles_and_ignores_timing_and_resources(gri
     depths = {}
     for case, circuit, _, report in grid:
         expanded = expanded_by_program_order(circuit, report.hops)
-        assert report.expanded_depth == dag_depth_oracle(expanded) == depth(expanded), case
+        assert report.expanded_depth == dag_depth_oracle(expanded) == len(expanded.layers), case
         assert report.expanded_depth >= report.original_depth, case
         depths.setdefault(case[:3] + case[6:], set()).add(report.expanded_depth)  # mesh, n, strategy, seed
     assert len(depths) == 150 and all(len(group) == 1 for group in depths.values())

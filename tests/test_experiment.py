@@ -494,6 +494,43 @@ def test_cli_circuit_file_errors_name_the_file_and_line(command, text, message, 
     assert capsys.readouterr().err.strip() == message
 
 
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark that many editors and spreadsheets write
+
+
+def _cli_outputs(argv, out_dir) -> dict[str, bytes]:
+    assert cli.main([*argv, "--out", str(out_dir)]) == 0
+    return {path.name: path.read_bytes() for path in sorted(Path(out_dir).iterdir())}
+
+
+def test_a_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    text = b"workload = qft\nqft.qubits = 4\n"
+    (tmp_path / "plain.cfg").write_bytes(text)
+    (tmp_path / "bom.cfg").write_bytes(BOM + text)
+    plain = _cli_outputs(["run", "--config", str(tmp_path / "plain.cfg")], tmp_path / "plain")
+    assert _cli_outputs(["run", "--config", str(tmp_path / "bom.cfg")], tmp_path / "bom") == plain
+    (tmp_path / "bad.cfg").write_bytes(BOM + b"workload = qft\n\xff\n")
+    assert cli.main(["run", "--config", str(tmp_path / "bad.cfg"), "--out", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'bad.cfg'}: not UTF-8: byte 0xff (invalid start byte)\n"
+
+
+def test_a_circuit_file_may_start_with_a_byte_order_mark(tmp_path, monkeypatch):
+    text = serialize_circuit(gen_qft(4)).encode()
+    for name, prefix in (("plain", b""), ("bom", BOM)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "qft4.qc").write_bytes(prefix + text)
+    monkeypatch.chdir(tmp_path / "plain")
+    plain = _cli_outputs(["run", "--workload", "qft4.qc"], "out")
+    monkeypatch.chdir(tmp_path / "bom")
+    assert _cli_outputs(["run", "--workload", "qft4.qc"], "out") == plain
+
+
+def test_a_results_csv_may_start_with_a_byte_order_mark(tmp_path):
+    csv_path, _ = run_experiment(merge_config({"workload": "qft", "qft.qubits": "4"}), str(tmp_path / "run"))
+    (tmp_path / "bom.csv").write_bytes(BOM + Path(csv_path).read_bytes())
+    plain = _cli_outputs(["plotdata", csv_path], tmp_path / "plain")
+    assert _cli_outputs(["plotdata", str(tmp_path / "bom.csv")], tmp_path / "bom") == plain
+
+
 def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
     code = cli.main(["run", "--workload", "fft", "--out", str(tmp_path)])
     assert code == 1

@@ -1,7 +1,6 @@
 import pytest
 
 from oracles import xy_route_by_steps
-from qnocsim.placement import PlacementMap
 from qnocsim.strategy import plan, plan_hh, plan_twt, twt_meeting_core
 from qnocsim.topology import MeshTopology
 from test_topology import MESHES
@@ -115,13 +114,12 @@ def test_replaying_hops_colocates_both_operands_at_exec_core(strategy):
             if src == dst:
                 continue
             p = plan(strategy, MESH, src, dst)
-            placement = PlacementMap.initial_mapping(16, MESH, 1)
+            qubit_core = list(range(16))  # qubit q starts on core q
             for hop in p.src_hops:
-                placement.relocate(src, hop)
+                qubit_core[src] = hop
             for hop in p.dst_hops:
-                placement.relocate(dst, hop)
-            assert placement.core_of(src) == p.exec_core
-            assert placement.core_of(dst) == p.exec_core
+                qubit_core[dst] = hop
+            assert qubit_core[src] == qubit_core[dst] == p.exec_core
 
 
 def test_consecutive_hops_are_adjacent_everywhere():
@@ -172,7 +170,7 @@ def test_twt_diagonal_split_moves_source_in_x_and_destination_in_y():
             if sx == dx or sy == dy:
                 continue
             p = plan_twt(MESH, src, dst)
-            assert p.exec_core == MESH.core_at(dx, sy)
+            assert p.exec_core == sy * MESH.width + dx
             assert len(p.src_hops) == abs(dx - sx)
             assert len(p.dst_hops) == abs(dy - sy)
             assert all(MESH.coord_of(h)[1] == sy for h in p.src_hops)
@@ -184,7 +182,7 @@ def _twt_by_docstring(mesh, src, dst):
     sx, sy = mesh.coord_of(src)
     dx, dy = mesh.coord_of(dst)
     if sx != dx and sy != dy:
-        meet = mesh.core_at(dx, sy)  # the corner: source moves along x, destination along y
+        meet = sy * mesh.width + dx  # the corner: source moves along x, destination along y
     else:
         meet = xy_route_by_steps(mesh, src, dst)[(mesh.hop_distance(src, dst) + 1) // 2]
     return tuple(xy_route_by_steps(mesh, src, meet)[1:]), tuple(xy_route_by_steps(mesh, dst, meet)[1:]), meet

@@ -8,15 +8,16 @@ MESHES = [MeshTopology(1, 1), MeshTopology(2, 3), MeshTopology(4, 4), MeshTopolo
 
 def test_core_numbering_is_row_major():
     t = MeshTopology(4, 4)
-    assert t.core_at(0, 0) == 0
-    assert t.core_at(3, 3) == 15
-    assert t.core_at(3, 0) == 3
+    assert t.coord_of(0) == (0, 0)
+    assert t.coord_of(15) == (3, 3)
+    assert t.coord_of(3) == (3, 0)
 
 
 @pytest.mark.parametrize("t", MESHES, ids=lambda t: f"{t.width}x{t.height}")
 def test_coord_roundtrip(t):
     for core in range(t.num_cores):
-        assert t.core_at(*t.coord_of(core)) == core
+        x, y = t.coord_of(core)
+        assert y * t.width + x == core
 
 
 @pytest.mark.parametrize("t", MESHES, ids=lambda t: f"{t.width}x{t.height}")
@@ -30,10 +31,10 @@ def test_neighbor_degrees(t):
         expected = 4 - (x == 0) - (x == t.width - 1) - (y == 0) - (y == t.height - 1)
         assert degree[core] == expected
     if t.width >= 3 and t.height >= 3:
-        corners = [t.core_at(0, 0), t.core_at(t.width - 1, t.height - 1)]
+        corners = [0, t.num_cores - 1]  # (0, 0) and (width - 1, height - 1)
         assert all(degree[c] == 2 for c in corners)
-        assert degree[t.core_at(1, 0)] == 3
-        assert degree[t.core_at(1, 1)] == 4
+        assert degree[1] == 3  # (1, 0)
+        assert degree[t.width + 1] == 4  # (1, 1)
 
 
 def test_bsm_link_count_matches_grid_formula():
@@ -63,8 +64,6 @@ def test_hop_distance_bounds_error():
     t = MeshTopology(4, 4)
     with pytest.raises(ValueError):
         t.hop_distance(0, 16)
-    with pytest.raises(ValueError):
-        t.core_at(4, 0)
     with pytest.raises(ValueError):
         t.coord_of(-1)
 
