@@ -29,8 +29,8 @@ planned, so a layer's rows sit in (gate id, chain, hop index) order, and a
 stable sort by finish alone gives the relocation order, which the placement
 map applies in one call.
 
-A run keeps only its totals. The hop and request records of a report are
-made on first read, by simulating the run again with logging on; the
+A run keeps only its totals. The first read of a report's hop or request
+records simulates the run again with logging on and stores both tuples; the
 determinism above makes that replay exact, and it is checked against the
 report's totals.
 
@@ -48,9 +48,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import starmap
 from operator import itemgetter
 
@@ -116,54 +114,6 @@ class RequestRecord:
         return self.arrival - self.issue
 
 
-class _Records(Sequence):
-    """Read-only sequence of one report's hop or request records, made on first read.
-
-    replay() returns the run's (requests, hops) as tuples of records and
-    memoizes them, so the report's two views, and any copy that shares them,
-    simulate the run again at most once between them. Nothing is replayed
-    until a caller reads a view; len() reads it too. The view compares,
-    hashes, adds, pickles and copies as the tuple of its records.
-    """
-
-    __slots__ = ("_replay", "_index")
-
-    def __init__(self, replay, index):
-        self._replay, self._index = replay, index
-
-    def _records(self) -> tuple:
-        return self._replay()[self._index]
-
-    def __len__(self):
-        return len(self._records())
-
-    def __getitem__(self, index):
-        return self._records()[index]
-
-    def __iter__(self):
-        return iter(self._records())
-
-    def __eq__(self, other):
-        if isinstance(other, _Records):
-            other = other._records()
-        return self._records() == other if isinstance(other, tuple) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._records())
-
-    def __add__(self, other):
-        return self._records() + other
-
-    def __radd__(self, other):
-        return other + self._records()
-
-    def __repr__(self):
-        return repr(self._records())
-
-    def __reduce__(self):
-        return tuple, (self._records(),)
-
-
 @dataclass(frozen=True)
 class SimReport:
     total_delay: float
@@ -174,11 +124,27 @@ class SimReport:
     inter_core_requests: int
     congestion_events: int
     max_core_occupancy: int
-    # Replayed on first read; tuple(...) gives a plain tuple. Left out of
-    # repr, so that printing a report neither replays the run nor prints its log.
-    requests: Sequence[RequestRecord] = field(repr=False)
-    hops: Sequence[HopRecord] = field(repr=False)
+    # A report from run has neither until one is read (__getattr__). Left out
+    # of repr, so that printing a report neither replays the run nor prints its log.
+    requests: tuple[RequestRecord, ...] = field(repr=False)
+    hops: tuple[HopRecord, ...] = field(repr=False)
     final_placement: tuple[int, ...]  # qubit -> core after the last layer
+
+    def __getattr__(self, name):
+        """Called only for an attribute the instance lacks: the first read of
+        either record fills both. A replay that raises leaves the report unread."""
+        state = vars(self)
+        replay = state.get("_replay") if name in ("requests", "hops") else None
+        if replay is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        requests, hops = replay()
+        del state["_replay"]
+        state.update(requests=requests, hops=hops)  # past the frozen __setattr__
+        return state[name]
+
+    def __getstate__(self):
+        self.hops  # pickle and copy carry the records, not the replay closure
+        return vars(self)
 
 
 def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
@@ -186,9 +152,9 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
 
     For a two-qubit gate the first operand is the moving source endpoint and
     the second the destination, matching the (control, target) reading of
-    the gate-list format. The run keeps no hop or request log: the first
-    read of the report's hops or requests simulates the run once more with
-    logging on, which fills both, so reading them costs one more run. That
+    the gate-list format. The report starts without its hops and requests:
+    the first read of either, or a replace, copy or pickle of the report,
+    simulates the run once more with logging on and stores both tuples. That
     replay looks up layerize, plan and request_stream as module globals, as
     the run does, and raises RuntimeError if its totals differ from the
     report's. Raises ValueError if the delay totals are not finite, as when
@@ -206,7 +172,6 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
     if overflowed:
         raise ValueError(f"timing values too large: simulated delay is not finite ({', '.join(overflowed)})")
 
-    @cache
     def replay() -> tuple[tuple[RequestRecord, ...], tuple[HopRecord, ...]]:
         requests, hops = logs = [], []
         if _simulate(circuit, cfg, logs) != fields:
@@ -216,7 +181,9 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
             )
         return tuple(requests), tuple(hops)
 
-    return SimReport(**fields, requests=_Records(replay, 0), hops=_Records(replay, 1))
+    report = object.__new__(SimReport)
+    vars(report).update(fields, _replay=replay)  # no records until one is read
+    return report
 
 
 @_collector_paused
@@ -344,7 +311,9 @@ def _drain_hops(cfg, pending, attempts, granted):
     """
     topo, timing = cfg.topology, cfg.timing
     link_busy_until: dict[tuple[int, int], float] = {}  # link -> finish of its last grant
-    comm_free_at = [[0.0] * cfg.m_per_core for _ in range(topo.num_cores)]  # per core, min-heap of qubit free times
+    # Per core, a min-heap of qubit free times. No core serves more than the
+    # layer's len(attempts) hops, so a free time past that count is never the min.
+    comm_free_at = [[0.0] * min(cfg.m_per_core, len(attempts)) for _ in range(topo.num_cores)]
     link_between = topo.bsm_link_between
     t_epr, tail = timing.t_epr, timing.t_meas + timing.t_classical + timing.t_correct
     pipelined = cfg.pipeline_hops

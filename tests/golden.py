@@ -3,8 +3,8 @@
 ``PYTHONPATH=src python tests/golden.py`` rewrites all of it, one directory
 per ARTIFACTS entry; tests/test_golden.py checks that each entry still writes
 those bytes. A documented model change commits the resulting diff of numbers.
-The command needs no test framework: this module imports only qnocsim and
-perfbench's workload table.
+The command needs no test framework: this module imports only qnocsim,
+perfbench's workload table and perfbench's bundle seeding rule.
 """
 
 import csv
@@ -25,6 +25,7 @@ from qnocsim.engine import SimConfig, run  # noqa: E402
 from qnocsim.experiment import default_bundle, load_config, merge_config, run_experiment  # noqa: E402
 from qnocsim.protocol import TimingConfig  # noqa: E402
 from qnocsim.topology import MeshTopology  # noqa: E402
+from passes import _with_seeds  # noqa: E402  (perfbench's bundle seeding rule, read only)
 from workloads import WORKLOADS, seed_overrides  # noqa: E402  (perfbench's table, read only)
 
 MESH = MeshTopology(4, 4)
@@ -72,9 +73,7 @@ def _workload(name: str, seed: int):
 
     def write_bundle(out_dir):
         for entry, config in default_bundle():
-            # Only an entry that sweeps seeds gets sweep.seeds; the others run once per strategy.
-            keys = {k: v for k, v in seeds.items() if k != "sweep.seeds" or k in config}
-            run_experiment({**config, **keys}, str(out_dir), entry)
+            run_experiment(_with_seeds(config, seeds), str(out_dir), entry)
 
     return write_bundle
 

@@ -239,3 +239,9 @@ def test_generator_argument_validation():
         gen_mcmt(0, 1)
     with pytest.raises(ValueError):
         gen_quantum_volume(1, 1, seed=0)
+    with pytest.raises(ValueError, match="^need at least one layer$"):
+        gen_quantum_volume(4, 0, 1)
+    with pytest.raises(ValueError, match="^target_depth must be positive$"):
+        SynthSpec(0, 1, CrMode("fixed", 1), 0)
+    with pytest.raises(ValueError, match="^requests_per_layer must be positive$"):
+        SynthSpec(1, 0, CrMode("fixed", 1), 0)

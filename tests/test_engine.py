@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from itertools import permutations
@@ -541,3 +542,21 @@ def test_strategy_validation():
         SimConfig(topology=MESH, strategy="walk")
     with pytest.raises(ValueError):
         SimConfig(topology=MESH, m_per_core=0)
+    with pytest.raises(ValueError, match="^n_per_core must be positive$"):
+        SimConfig(topology=MESH, n_per_core=0)
+
+
+def test_a_large_m_per_core_costs_no_memory():
+    """No core serves more hops in a layer than the layer has, so m past that
+    count changes no record, and the run allocates nothing per communication qubit."""
+    c = gen_qft(16)
+    c.layers  # cached on the circuit, so not counted against the run
+    cfg = cfg_for("hh", m=1000, seed=3, p_bsm=0.5)
+    tracemalloc.start()
+    try:
+        report = run(c, replace(cfg, m_per_core=100_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == run(c, cfg) and len(report.hops) == 48
+    assert peak < 1024 * 1024

@@ -15,6 +15,7 @@ import qnocsim
 from qnocsim import cli, engine, experiment
 from qnocsim.benchgen import CrMode, SynthSpec, gen_cuccaro, gen_mcmt, gen_qft, gen_quantum_volume, gen_synthetic
 from qnocsim.circuit import parse_circuit, serialize_circuit
+from qnocsim.engine import SimConfig
 from qnocsim.experiment import (
     CSV_COLUMNS,
     ConfigError,
@@ -29,6 +30,7 @@ from qnocsim.experiment import (
     run_experiment,
     summarize,
 )
+from qnocsim.protocol import TimingConfig
 from qnocsim.topology import MeshTopology
 from test_golden import assert_same_files
 
@@ -475,6 +477,17 @@ def test_cli_run_writes_exactly_the_rows_of_the_strategy_flag(tmp_path):
     assert [r["strategy"] for r in _read_rows(tmp_path / "results.csv")] == ["hh", "twt"]
 
 
+def test_config_defaults_equal_the_engine_defaults():
+    """DEFAULTS repeats the TimingConfig and SimConfig defaults as text. Its
+    strategy (both) and seed (1) differ on purpose; each run sets those two."""
+    config = merge_config()
+    assert experiment.timing_from_config(config) == TimingConfig()
+    sim = experiment.sim_config_from(config)
+    defaults = SimConfig(topology=sim.topology)
+    for name in ("n_per_core", "m_per_core", "timing", "pipeline_hops"):
+        assert getattr(sim, name) == getattr(defaults, name), name
+
+
 def test_pipeline_flag_reaches_the_engine_config(tmp_path):
     config = merge_config({"sim.pipeline_hops": "true"})
     points = iter_points({**config, "workload": "qft", "qft.qubits": "4", "sim.n_per_core": "1"})
@@ -485,6 +498,7 @@ def test_pipeline_flag_reaches_the_engine_config(tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("qubits 4\ncx 0 9\n", "error: bad.qc:2: operand 9 outside 0..3"),
     ("", "error: bad.qc: missing qubits header"),
+    ("qubits 0\n", "error: bad.qc:1: qubit count must be positive"),
     (b"qubits 2\n\xff\n", "error: bad.qc: not UTF-8: byte 0xff (invalid start byte)"),
 ])
 def test_cli_circuit_file_errors_name_the_file_and_line(command, text, message, tmp_path, monkeypatch, capsys):
@@ -585,6 +599,8 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
     undecodable.write_bytes(b"workload = qft\n\xff\n")
     twice = tmp_path / "twice.cfg"
     twice.write_text("workload = qft\nqft.qubits = 4\nworkload = cuccaro\n")
+    empty = tmp_path / "e.cfg"
+    empty.write_text("workload =\n")
     for flags, message in (
         (["--workload", "synthetic", "--requests", "4", "--depth", "0"],
          "synthetic.depth: expected a positive integer, got 0"),
@@ -608,6 +624,17 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
         (["--config", str(undecodable)], f"{undecodable}: not UTF-8: byte 0xff (invalid start byte)"),
         (["--config", str(twice)], f"{twice}:3: duplicate key 'workload' (first set on line 1)"),
         (["--workload", "qft", "--set", "sweep.seeds=1,,2"], "sweep.seeds: empty item in '1,,2'"),
+        # each value that does not parse names its key and echoes the value
+        (["--workload", "qft", "--set", "sim.seed=x"], "sim.seed: expected integer, got 'x'"),
+        (["--workload", "qft", "--set", "timing.t_epr=abc"], "timing.t_epr: expected number, got 'abc'"),
+        (["--workload", "qft", "--set", "sim.pipeline_hops=maybe"],
+         "sim.pipeline_hops: expected true or false, got 'maybe'"),
+        (["--workload", "qft", "--set", "sweep.seeds=1..x"], "sweep.seeds: bad range '1..x'"),
+        (["--workload", "qft", "--set", "sweep.seeds=1,x"], "sweep.seeds: bad integer list '1,x'"),
+        (["--workload", "qft", "--set", "sim.strategy=HH"], "sim.strategy: expected hh, twt or both, got 'HH'"),
+        (["--workload", "synthetic"], "synthetic workload needs sweep.requests"),
+        (["--workload", "qft", "--set", "foo"], "--set expects KEY=VALUE, got 'foo'"),
+        (["--config", str(empty)], f"{empty}:1: empty key or value"),
         # each generator range error names its config key
         (["--workload", "qv", "--set", "qv.layers=0"], "qv.layers: expected a positive integer, got 0"),
         (["--workload", "qv", "--set", "qv.qubits=1"], "qv.qubits: expected an integer of at least 2, got 1"),

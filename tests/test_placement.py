@@ -32,6 +32,8 @@ def test_block_mapping_with_two_per_core():
 def test_too_many_qubits_is_a_capacity_error():
     with pytest.raises(CapacityError):
         PlacementMap.initial_mapping(17, MESH, 1)
+    with pytest.raises(ValueError, match="^n_per_core must be positive$"):
+        PlacementMap.initial_mapping(4, MESH, 0)
 
 
 def test_relocate_to_current_core_is_a_noop():

@@ -83,6 +83,8 @@ def test_invalid_probability_rejected():
         TimingConfig(p_bsm=1.5)
     with pytest.raises(ValueError):
         TimingConfig(t_epr=-1)
+    with pytest.raises(ValueError, match="^max_attempts must be positive when set$"):
+        TimingConfig(max_attempts=0)
 
 
 @pytest.mark.parametrize("name", ["t_epr", "t_meas", "t_classical", "t_correct", "t_gate"])

@@ -1,5 +1,5 @@
-"""SimReport.hops and SimReport.requests: read-only record sequences that the
-engine fills on first read, len() included, by replaying the run once with
+"""SimReport.hops and SimReport.requests: tuples of records that a report
+from run fills on the first read of either, by replaying the run once with
 logging on."""
 
 import copy
@@ -14,7 +14,7 @@ from golden import CIRCUIT, CONTENDED, EAGER_LOGS, LOSSY
 from qnocsim import engine
 from qnocsim.benchgen import gen_quantum_volume
 from qnocsim.circuit import Circuit
-from qnocsim.engine import HopRecord, RequestRecord, SimConfig, audit_resources, run
+from qnocsim.engine import HopRecord, RequestRecord, SimConfig, SimReport, audit_resources, run
 from qnocsim.protocol import TimingConfig
 from qnocsim.topology import MeshTopology
 
@@ -157,16 +157,17 @@ def test_run_builds_records_only_when_they_are_read(monkeypatch, replays):
         "index": lambda report: report.hops[0],
         "iterate": lambda report: list(report.requests),
         "compare": lambda report: report.hops == (),
+        "replace": dataclasses.replace,
     }
     for name, first_read in first_reads.items():
         built.update(hops=0, requests=0)
         replays.clear()
         report = run(CIRCUIT, LOSSY)
-        copied = dataclasses.replace(report)
         assert report.inter_core_requests == 15 and report.total_delay > 0
         assert (built, replays) == ({"hops": 0, "requests": 0}, [False]), name
         first_read(report)
         assert (built, replays) == ({"hops": 48, "requests": 15}, [False, True]), name
+        copied = dataclasses.replace(report)
         assert copied.hops[-1] is report.hops[-1] and copied.requests[0] is report.requests[0], name
         assert len(copied.hops) == 48 and len(report.requests) == 15 and report == copied
         assert (built, replays) == ({"hops": 48, "requests": 15}, [False, True]), name
@@ -229,14 +230,30 @@ def test_repr_names_the_totals_and_replays_nothing(replays):
                  "inter_core_requests", "congestion_events", "final_placement"):
         assert f"{name}={getattr(report, name)!r}" in text
     assert "HopRecord" not in text and "RequestRecord" not in text and "hops=" not in text
-    assert report == dataclasses.replace(report) and replays == [False]
-    assert report != dataclasses.replace(report, hops=report.hops[1:])  # equality still reads the records
+    assert replays == [False]
+    copied = dataclasses.replace(report)  # reads every field, the records too
+    assert replays == [False, True] and repr(copied) == text
+    assert report == copied and report != dataclasses.replace(report, hops=report.hops[1:])
     assert replays == [False, True]
+
+
+def test_records_are_tuples_that_only_a_report_from_run_replays(replays):
+    report = run(CIRCUIT, LOSSY)
+    assert "hops" not in vars(report) and "requests" not in vars(report)
+    with pytest.raises(AttributeError, match="no attribute 'log'"):
+        report.log
+    assert replays == [False]
+    assert type(report.hops) is tuple and type(report.requests) is tuple and replays == [False, True]
+    assert "_replay" not in vars(report)  # dropped once read, with the circuit it holds
+    built = SimReport(**{f.name: getattr(report, f.name) for f in dataclasses.fields(SimReport)})
+    assert vars(built) == vars(report) and vars(copy.copy(report)) == vars(report)
+    with pytest.raises(AttributeError, match="no attribute 'hops'"):
+        object.__new__(SimReport).hops
 
 
 def test_a_replay_that_disagrees_with_the_report_raises(monkeypatch):
     """A patched engine global restored before the first read changes the
-    replay; the view raises rather than return a log that disagrees with the totals."""
+    replay; the read raises rather than return a log that disagrees with the totals."""
     report = run(CIRCUIT, LOSSY)
     monkeypatch.setattr(engine, "request_stream", lambda *args: random.Random(0))
     with pytest.raises(RuntimeError, match="could not be reproduced"):
