@@ -44,7 +44,7 @@ class CrMode:
     def parse(cls, token: str) -> "CrMode":
         """Parse ``fixed:<r>`` or ``random:<max_r>``."""
         kind, sep, value = token.partition(":")
-        if not sep or not value.isdigit():
+        if not sep or not (value.isascii() and value.isdigit()):
             raise ValueError(f"bad cr mode token {token!r}, expected fixed:<r> or random:<max>")
         return cls(kind, int(value))
 

@@ -197,10 +197,18 @@ def _parse_int(args: list[str], count: int, directive: str, line_no: int) -> lis
     values = []
     for a in args:
         try:
-            values.append(int(a))
+            values.append(ascii_number(a))
         except ValueError:
             raise ParseError(f"expected integer, got {a!r}", line_no) from None
     return values
+
+
+def ascii_number(text: str, kind=int):
+    """kind(text), for ASCII text without '_': int and float also read other
+    scripts' digits and digit-group underscores, as in '٣' or '1_0'."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return kind(text)
 
 
 def serialize_circuit(circuit: Circuit) -> str:

@@ -201,7 +201,7 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) 
     placement = PlacementMap.initial_mapping(circuit.num_qubits, topo, cfg.n_per_core)
     layers = layerize(circuit)  # looked up as a module global: perfbench/tracing.py wraps it
     gates = circuit.gates
-    core_of, relocate_all = placement.core_of, placement.relocate_all
+    cores, relocate_all = placement.cores, placement.relocate_all
     attempts_of = chain_attempts
     draws = timing.p_bsm < 1  # at p_bsm == 1 no hop consumes randomness, so requests get no stream
     if logs is not None:
@@ -211,7 +211,6 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) 
     comm_sum = 0.0
     comm_critical = 0.0
     congestion_events = 0
-    max_occupancy = placement.max_occupancy()
     inter_core_requests = 0
     level = [0] * circuit.num_qubits  # expanded-circuit depth reached by each qubit
     finish_of, move_of = itemgetter(8), itemgetter(3, 5)  # a hop row's finish and its (qubit, dst_core)
@@ -228,8 +227,8 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) 
                 level[qubits[0]] += 1
                 continue
             q_src, q_dst = qubits
-            src_core = core_of(q_src)
-            dst_core = core_of(q_dst)
+            src_core = cores[q_src]
+            dst_core = cores[q_dst]
             if src_core == dst_core:
                 gate_level = level[q_src]
                 if level[q_dst] > gate_level:
@@ -265,8 +264,7 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) 
         # Stable: rows of equal finish keep their slot order, so this is
         # (finish, gate_id, chain, hop_index) order.
         hop_rows.sort(key=finish_of)
-        congested, max_occupancy = relocate_all(map(move_of, hop_rows), max_occupancy)
-        congestion_events += congested
+        congestion_events += relocate_all(map(move_of, hop_rows))
 
         inter_core_requests += len(requests)
         layer_latency = 0.0
@@ -290,8 +288,8 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) 
         expanded_depth=max(level),
         inter_core_requests=inter_core_requests,
         congestion_events=congestion_events,
-        max_core_occupancy=max_occupancy,
-        final_placement=tuple(map(core_of, range(circuit.num_qubits))),
+        max_core_occupancy=placement.peak,
+        final_placement=tuple(cores),
     )
 
 

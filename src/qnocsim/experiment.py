@@ -29,7 +29,7 @@ import os
 from dataclasses import dataclass, replace
 
 from .benchgen import CrMode, SynthSpec, gen_cuccaro, gen_mcmt, gen_qft, gen_quantum_volume, gen_synthetic
-from .circuit import Circuit, ParseError, parse_circuit
+from .circuit import Circuit, ParseError, ascii_number, parse_circuit
 from .engine import SimConfig, SimReport, run
 from .protocol import ProtocolError, TimingConfig
 from .strategy import STRATEGIES
@@ -137,7 +137,7 @@ def _unknown_key_message(key: str) -> str:
 
 def _get_int(config, key, minimum=None):
     try:
-        value = int(config[key])
+        value = ascii_number(config[key])
     except ValueError:
         raise ConfigError(f"{key}: expected integer, got {config[key]!r}") from None
     if minimum is not None and value < minimum:
@@ -148,7 +148,7 @@ def _get_int(config, key, minimum=None):
 
 def _get_float(config, key):
     try:
-        return float(config[key])
+        return ascii_number(config[key], float)
     except ValueError:
         raise ConfigError(f"{key}: expected number, got {config[key]!r}") from None
 
@@ -168,7 +168,7 @@ def _int_list(token: str, key: str) -> list[int]:
     if ".." in token:
         lo, _, hi = token.partition("..")
         try:
-            values = list(range(int(lo), int(hi) + 1))
+            values = list(range(ascii_number(lo), ascii_number(hi) + 1))
         except ValueError:
             raise ConfigError(f"{key}: bad range {token!r}") from None
         if not values:
@@ -177,7 +177,7 @@ def _int_list(token: str, key: str) -> list[int]:
 
     def parse(item):
         try:
-            return int(item)
+            return ascii_number(item)
         except ValueError:
             raise ConfigError(f"{key}: bad integer list {token!r}") from None
 
@@ -255,19 +255,12 @@ def iter_points(config: dict[str, str]) -> list[RunPoint]:
 
     The shared engine settings are checked before any circuit is generated,
     so a bad key is reported by name rather than by the generator it breaks,
-    and every circuit is checked to fit the mesh before any run starts.
+    and every circuit is checked to fit the mesh before it is built.
     """
     strategies = _strategies(config)
     # One mesh for every point: each instance carries its own lookup tables.
     base = sim_config_from(config)
-    runs = list(_runs(config, base.topology))
-    cores = base.topology.num_cores
-    for label, _cr_mode, circuit, _seeds in runs:
-        if circuit.num_qubits > cores * base.n_per_core:
-            raise ConfigError(
-                f"sim.n_per_core: {label} (workload {config['workload']!r}) has {circuit.num_qubits} qubits,"
-                f" more than {cores} cores x {base.n_per_core}"
-            )
+    runs = list(_runs(config, base.topology, base.n_per_core))
     return [
         RunPoint(label, cr_mode, circuit, replace(base, strategy=strategy, seed=seed))
         for label, cr_mode, circuit, seeds in runs
@@ -277,22 +270,24 @@ def iter_points(config: dict[str, str]) -> list[RunPoint]:
 
 
 def single_circuit(config: dict[str, str]) -> Circuit:
-    """The one circuit a configuration builds, as ``qnocsim gen`` writes it."""
+    """The one circuit a configuration builds, as ``qnocsim gen`` writes it,
+    even one too large for the configuration's mesh."""
     circuits = [circuit for _label, _cr_mode, circuit, _seeds in _runs(config, sim_config_from(config).topology)]
     if len(circuits) != 1:
         raise ConfigError(f"gen writes one circuit; the configuration builds {len(circuits)}")
     return circuits[0]
 
 
-def _runs(config, topology: MeshTopology):
+def _runs(config, topology: MeshTopology, n_per_core: int | None = None):
     """Yield (label, cr_mode, circuit, seeds) once for every circuit a
     configuration builds, with the engine seeds it runs under; the one place
     that turns a workload name into circuits.
 
     The synthetic workload sweeps sweep.cr x sweep.requests x seeds, one
     circuit per seed, and a request count fills synthetic.depth layers
-    evenly, or without a depth one request per layer. Any other workload is
-    one circuit, run once per seed.
+    evenly, or without a depth one request per layer, on exactly the qubits
+    the mesh holds. Any other workload is one circuit, run once per seed;
+    given n_per_core, one too large for the mesh is refused before it is built.
     """
     workload = config["workload"]
     seeds = _seeds(config)
@@ -305,18 +300,20 @@ def _runs(config, topology: MeshTopology):
     # The generators check their own ranges; these checks name the key.
     if workload == "qft":
         n = _get_int(config, "qft.qubits", 1)
-        circuit, label = gen_qft(n), f"qft{n}"
+        label, num_qubits, build = f"qft{n}", n, lambda: gen_qft(n)
     elif workload == "cuccaro":
         bits = _get_int(config, "cuccaro.bits", 1)
-        circuit, label = gen_cuccaro(bits), f"cuccaro{bits}"
+        label, num_qubits, build = f"cuccaro{bits}", 2 * bits + 2, lambda: gen_cuccaro(bits)
     elif workload == "mcmt":
         controls = _get_int(config, "mcmt.controls", 1)
         targets = _get_int(config, "mcmt.targets", 1)
-        circuit, label = gen_mcmt(controls, targets), f"mcmt{controls}x{targets}"
+        label, num_qubits = f"mcmt{controls}x{targets}", 2 * controls - 1 + targets
+        build = lambda: gen_mcmt(controls, targets)
     elif workload == "qv":
         n = _get_int(config, "qv.qubits", 2)
         layers = _get_int(config, "qv.layers", 1)
-        circuit, label = gen_quantum_volume(n, layers, _get_int(config, "qv.seed")), f"qv{n}x{layers}"
+        qv_seed = _get_int(config, "qv.seed")
+        label, num_qubits, build = f"qv{n}x{layers}", n, lambda: gen_quantum_volume(n, layers, qv_seed)
     elif os.path.exists(workload):
         try:
             with open(workload, "r", encoding="utf-8-sig") as handle:
@@ -326,9 +323,15 @@ def _runs(config, topology: MeshTopology):
         except ParseError as error:
             raise ParseError(error.reason, error.line, workload) from None
         label = os.path.splitext(os.path.basename(workload))[0]
+        num_qubits, build = circuit.num_qubits, lambda: circuit
     else:
         raise ConfigError(f"unknown workload {workload!r} (not a generator name or circuit file)")
-    yield label, "-", circuit, seeds
+    if n_per_core is not None and num_qubits > topology.num_cores * n_per_core:
+        raise ConfigError(
+            f"sim.n_per_core: {label} (workload {workload!r}) has {num_qubits} qubits,"
+            f" more than {topology.num_cores} cores x {n_per_core}"
+        )
+    yield label, "-", build(), seeds
 
 
 def _synthetic_runs(config, topology: MeshTopology, seeds: list[int]):
@@ -393,6 +396,8 @@ def run_experiment(config: dict[str, str], out_dir: str, name: str = "results") 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{name}.csv")
     json_path = os.path.join(out_dir, f"{name}.json")
+    if os.path.exists(json_path):  # a run that fails must not leave an earlier run's summary
+        os.remove(json_path)
 
     with open(csv_path, "w", encoding="utf-8", newline="") as csv_file:
         writer = csv.writer(csv_file, lineterminator="\n")  # quotes a label that holds a comma

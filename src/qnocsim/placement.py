@@ -12,31 +12,23 @@ class CapacityError(ValueError):
 class PlacementMap:
     """Mutable qubit -> core map with per-core occupancy counts.
 
-    A core may be pushed past its capacity of computation qubits; the move
-    succeeds and is reported as congestion rather than rejected. Owned and
-    mutated by a single simulation run, which applies each layer's moves in
-    one relocate_all call; relocate is the range-checked single move.
-
-    ``core_of(qubit)`` is the bound ``__getitem__`` of the qubit -> core
-    list, a C call on the engine's per-gate path: it indexes as a list does,
-    raising IndexError past the end.
+    cores lists each qubit's core, and peak is the highest occupancy any core
+    has held since the map was built. A core may be pushed past its capacity
+    of computation qubits; the move succeeds and is reported as congestion
+    rather than rejected. Owned and mutated by a single simulation run, which
+    applies each layer's moves in one relocate_all call; relocate is the
+    range-checked single move.
     """
 
     def __init__(self, qubit_core: list[int], num_cores: int, capacity: int):
         self.capacity = capacity
-        self._qubit_core = list(qubit_core)
-        self.core_of = self._qubit_core.__getitem__
+        self.cores = list(qubit_core)
         self._core_load = [0] * num_cores
-        for qubit, core in enumerate(self._qubit_core):
+        for qubit, core in enumerate(self.cores):
             if not (0 <= core < num_cores):
                 raise ValueError(f"qubit {qubit} placed on core {core}, outside 0..{num_cores - 1}")
             self._core_load[core] += 1
-
-    def __setstate__(self, state):
-        # A deep copy would keep the original's bound lookup (copy treats it
-        # as atomic); bind core_of to this map's own list instead.
-        self.__dict__.update(state)
-        self.core_of = self._qubit_core.__getitem__
+        self.peak = max(self._core_load, default=0)
 
     @classmethod
     def initial_mapping(cls, num_qubits: int, topology: MeshTopology, n_per_core: int) -> "PlacementMap":
@@ -48,34 +40,28 @@ class PlacementMap:
             raise CapacityError(f"{num_qubits} qubits exceed {topology.num_cores} cores x {n_per_core}")
         return cls([q // n_per_core for q in range(num_qubits)], topology.num_cores, n_per_core)
 
-    def max_occupancy(self) -> int:
-        return max(self._core_load)
-
     def relocate(self, qubit: int, to: int) -> bool:
         """Move a qubit to a core; True means the destination is now over
         capacity (a congestion event). Moving to the current core is a no-op."""
-        if not (0 <= qubit < len(self._qubit_core)):
-            raise ValueError(f"qubit {qubit} outside 0..{len(self._qubit_core) - 1}")
+        if not (0 <= qubit < len(self.cores)):
+            raise ValueError(f"qubit {qubit} outside 0..{len(self.cores) - 1}")
         if not (0 <= to < len(self._core_load)):
             raise ValueError(f"core {to} outside 0..{len(self._core_load) - 1}")
-        return self.relocate_all([(qubit, to)], 0)[0] > 0
+        return self.relocate_all([(qubit, to)]) > 0
 
-    def relocate_all(self, moves, peak: int) -> tuple[int, int]:
-        """Apply (qubit, core) moves in order, each as relocate would, in one call.
-
-        Returns (congestion events, peak): peak is the larger of the given
-        peak and each moved qubit's destination occupancy after its move. A
-        no-op move changes no load, so a peak given as max_occupancy() comes
-        back as the highest occupancy any core held. The moves are not
-        range-checked, as relocate's are: the engine passes its own hops.
+    def relocate_all(self, moves) -> int:
+        """Apply (qubit, core) moves in order, each as relocate would, in one
+        call; return the congestion events and raise peak as loads grow. The
+        moves are not range-checked, as relocate's are: the engine passes its
+        own hops.
         """
-        qubit_core, load, capacity = self._qubit_core, self._core_load, self.capacity
+        cores, load, capacity, peak = self.cores, self._core_load, self.capacity, self.peak
         congested = 0
         for qubit, to in moves:
-            origin = qubit_core[qubit]
+            origin = cores[qubit]
             if origin == to:
                 continue
-            qubit_core[qubit] = to
+            cores[qubit] = to
             load[origin] -= 1
             held = load[to] + 1
             load[to] = held
@@ -83,4 +69,5 @@ class PlacementMap:
                 congested += 1
             if held > peak:
                 peak = held
-        return congested, peak
+        self.peak = peak
+        return congested

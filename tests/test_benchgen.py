@@ -2,6 +2,7 @@ import pytest
 
 from golden import GOLDEN, SYNTHETIC_CIRCUITS, synthetic_circuit, synthetic_label
 from oracles import two_qubit_count
+from qnocsim import benchgen
 from qnocsim.benchgen import (
     CrMode,
     GenerationError,
@@ -13,6 +14,7 @@ from qnocsim.benchgen import (
     gen_synthetic,
 )
 from qnocsim.circuit import serialize_circuit
+from qnocsim.protocol import derived_rng
 from qnocsim.topology import MeshTopology
 
 MESH = MeshTopology(4, 4)
@@ -101,6 +103,45 @@ def test_infeasible_requests_raise_generation_errors():
         gen_synthetic(SynthSpec(8, 1, CrMode("fixed", 6), 0), MESH, 1)
 
 
+def _counted_rng_keys(monkeypatch):
+    """The keys of every derived_rng call gen_synthetic makes: one per build attempt."""
+    keys = []
+
+    def counted(key):
+        keys.append(key)
+        return derived_rng(key)
+
+    monkeypatch.setattr(benchgen, "derived_rng", counted)
+    return keys
+
+
+@pytest.mark.parametrize("width, rpl, depth_k, seed, reason", [
+    (4, 2, 1, 12, "no source core with a reachable partner left"),
+    (3, 1, 2, 3, "no free core within radius 1 of core 0"),
+], ids=["no_source_core", "no_free_core_within_radius"])
+def test_a_failed_build_attempt_is_retried_with_the_next_stream(width, rpl, depth_k, seed, reason, monkeypatch):
+    """Attempt 0 of each seeded case fails for the reason given, and attempt 1 succeeds."""
+    mesh = MeshTopology(width, 1)
+    spec = SynthSpec(target_depth=depth_k, requests_per_layer=rpl, cr_mode=CrMode("random", 1), seed=seed)
+    with pytest.raises(benchgen._BuildFailed, match=f"^{reason}$"):
+        benchgen._build_synthetic(spec, mesh, 1, derived_rng(f"synth:{seed}:0"))
+    keys = _counted_rng_keys(monkeypatch)
+    c = gen_synthetic(spec, mesh, 1)
+    assert keys == [f"synth:{seed}:0", f"synth:{seed}:1"]
+    assert len(c.layers) == depth_k and len(c.gates) == depth_k * rpl
+    assert all(mesh.hop_distance(*(_initial_core(q, 1) for q in g.qubits)) == 1 for g in c.gates)
+    assert serialize_circuit(gen_synthetic(spec, mesh, 1)) == serialize_circuit(c)
+
+
+def test_a_workload_that_fails_every_build_attempt_is_a_generation_error(monkeypatch):
+    keys = _counted_rng_keys(monkeypatch)
+    spec = SynthSpec(target_depth=2, requests_per_layer=1, cr_mode=CrMode("fixed", 2), seed=1)
+    message = "^could not realize fixed:2 workload: no free core at radius 2 from core 2$"
+    with pytest.raises(GenerationError, match=message):
+        gen_synthetic(spec, MeshTopology(3, 1), 1)
+    assert keys == [f"synth:1:{attempt}" for attempt in range(benchgen._BUILD_ATTEMPTS)]
+
+
 @pytest.mark.parametrize("case", SYNTHETIC_CIRCUITS, ids=lambda c: f"{c[0]}x{c[1]}-{c[2]}")
 def test_synthetic_circuits_match_pinned_digests(case):
     """Each pinned synthetic case generates exactly its committed golden text;
@@ -114,7 +155,7 @@ def test_cr_mode_parsing():
     assert CrMode.parse("fixed:3") == CrMode("fixed", 3)
     assert CrMode.parse("random:6") == CrMode("random", 6)
     assert str(CrMode.parse("fixed:1")) == "fixed:1"
-    for bad in ("fixed", "fixed:", "near:2", "fixed:x", "fixed:0"):
+    for bad in ("fixed", "fixed:", "near:2", "fixed:x", "fixed:0", "fixed:\u0663", "fixed:\u00b3"):
         with pytest.raises(ValueError):
             CrMode.parse(bad)
 

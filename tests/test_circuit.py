@@ -156,6 +156,8 @@ def test_parse_rejects_malformed_lines():
         ("cx 0 1\n", 1),
         ("qubits 2\nqubits 2\n", 2),
         ("qubits 2\ncx 1 1\n", 2),
+        ("qubits 4\ncx 0 \u0663\n", 2),  # ARABIC-INDIC DIGIT THREE, which int() reads as 3
+        ("qubits 1_0\n", 1),
     ]
     for text, line in cases:
         with pytest.raises(ParseError) as err:

@@ -499,6 +499,7 @@ def test_pipeline_flag_reaches_the_engine_config(tmp_path):
     ("qubits 4\ncx 0 9\n", "error: bad.qc:2: operand 9 outside 0..3"),
     ("", "error: bad.qc: missing qubits header"),
     ("qubits 0\n", "error: bad.qc:1: qubit count must be positive"),
+    ("qubits 4\ncx 0 \u0663\n", "error: bad.qc:2: expected integer, got '\u0663'"),
     (b"qubits 2\n\xff\n", "error: bad.qc: not UTF-8: byte 0xff (invalid start byte)"),
 ])
 def test_cli_circuit_file_errors_name_the_file_and_line(command, text, message, tmp_path, monkeypatch, capsys):
@@ -631,6 +632,17 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
          "sim.pipeline_hops: expected true or false, got 'maybe'"),
         (["--workload", "qft", "--set", "sweep.seeds=1..x"], "sweep.seeds: bad range '1..x'"),
         (["--workload", "qft", "--set", "sweep.seeds=1,x"], "sweep.seeds: bad integer list '1,x'"),
+        # integers and numbers are ASCII, without digit-group underscores
+        (["--workload", "qft", "--set", "qft.qubits=1_6"], "qft.qubits: expected integer, got '1_6'"),
+        (["--workload", "qft", "--set", "sim.seed=\u0663"], "sim.seed: expected integer, got '\u0663'"),
+        (["--workload", "qft", "--set", "timing.t_epr=1_0"], "timing.t_epr: expected number, got '1_0'"),
+        (["--workload", "qft", "--set", "timing.t_gate=\u0662"], "timing.t_gate: expected number, got '\u0662'"),
+        (["--workload", "qft", "--set", "sweep.seeds=1,\u0662"], "sweep.seeds: bad integer list '1,\u0662'"),
+        (["--workload", "qft", "--set", "sweep.seeds=1..1_0"], "sweep.seeds: bad range '1..1_0'"),
+        (["--workload", "synthetic", "--requests", "4", "--cr", "fixed:\u0663"],
+         "sweep.cr: bad cr mode token 'fixed:\u0663'"),
+        (["--workload", "synthetic", "--requests", "4", "--cr", "fixed:\u00b3"],
+         "sweep.cr: bad cr mode token 'fixed:\u00b3'"),
         (["--workload", "qft", "--set", "sim.strategy=HH"], "sim.strategy: expected hh, twt or both, got 'HH'"),
         (["--workload", "synthetic"], "synthetic workload needs sweep.requests"),
         (["--workload", "qft", "--set", "foo"], "--set expects KEY=VALUE, got 'foo'"),
@@ -659,6 +671,43 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not out_dir.exists()  # refused before results.csv is opened
+
+
+def test_a_too_large_circuit_is_refused_before_it_is_built(monkeypatch):
+    def never(n):
+        raise AssertionError("gen_qft called for a circuit the mesh cannot hold")
+
+    monkeypatch.setattr(experiment, "gen_qft", never)
+    with pytest.raises(ConfigError, match=r"^sim\.n_per_core: qft40 \(workload 'qft'\) has 40 qubits, more than 16 cores x 2$"):
+        iter_points(merge_config({"workload": "qft", "qft.qubits": "40"}))
+
+
+@pytest.mark.parametrize("settings, num_qubits", [
+    ({"workload": "qft", "qft.qubits": "5"}, 5),
+    ({"workload": "cuccaro", "cuccaro.bits": "3"}, 8),
+    ({"workload": "mcmt", "mcmt.controls": "3", "mcmt.targets": "2"}, 7),
+    ({"workload": "qv", "qv.qubits": "6"}, 6),
+], ids=lambda value: value["workload"] if isinstance(value, dict) else None)
+def test_each_generator_fits_a_mesh_that_holds_exactly_its_qubits(settings, num_qubits):
+    """The capacity check's qubit count for each generator is the circuit's num_qubits."""
+    def config(cores):
+        return merge_config({**settings, "mesh.width": str(cores), "mesh.height": "1", "sim.n_per_core": "1"})
+
+    points = iter_points(config(num_qubits))
+    assert {point.circuit.num_qubits for point in points} == {num_qubits}
+    with pytest.raises(ConfigError, match=f"has {num_qubits} qubits, more than {num_qubits - 1} cores x 1$"):
+        iter_points(config(num_qubits - 1))
+
+
+def test_a_failing_rerun_removes_the_earlier_summary(tmp_path, capsys):
+    out = ["--out", str(tmp_path)]
+    assert cli.main(["run", "--workload", "qft", "--set", "qft.qubits=8", "--set", "timing.p_bsm=0.5", *out]) == 0
+    assert json.loads((tmp_path / "results.json").read_text())["rows"] == 2
+    failing = ["--set", "qft.qubits=16", "--set", "timing.p_bsm=0.05", "--set", "timing.max_attempts=3"]
+    assert cli.main(["run", "--workload", "qft", *failing, *out]) == 1
+    assert "(timing.max_attempts)" in capsys.readouterr().err
+    assert (tmp_path / "results.csv").read_text() == ",".join(CSV_COLUMNS) + "\n"
+    assert not (tmp_path / "results.json").exists()
 
 
 def test_cli_names_file_and_line_of_an_unknown_config_key(tmp_path, capsys):

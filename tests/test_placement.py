@@ -10,22 +10,23 @@ MESH = MeshTopology(4, 4)
 
 
 def loads(p, num_qubits, num_cores=MESH.num_cores):
-    """Each core's qubit count, counted from core_of rather than read back from the map."""
+    """Each core's qubit count, counted from cores rather than read back from the map."""
+    assert len(p.cores) == num_qubits
     counts = [0] * num_cores
-    for qubit in range(num_qubits):
-        counts[p.core_of(qubit)] += 1
+    for core in p.cores:
+        counts[core] += 1
     return counts
 
 
 def test_identity_mapping_with_one_qubit_per_core():
     p = PlacementMap.initial_mapping(16, MESH, 1)
-    assert all(p.core_of(q) == q for q in range(16))
+    assert p.cores == list(range(16))
 
 
 def test_block_mapping_with_two_per_core():
     p = PlacementMap.initial_mapping(32, MESH, 2)
-    assert p.core_of(0) == 0 and p.core_of(1) == 0
-    assert p.core_of(30) == 15 and p.core_of(31) == 15
+    assert p.cores[0] == 0 and p.cores[1] == 0
+    assert p.cores[30] == 15 and p.cores[31] == 15
     assert loads(p, 32) == [2] * 16
 
 
@@ -39,7 +40,7 @@ def test_too_many_qubits_is_a_capacity_error():
 def test_relocate_to_current_core_is_a_noop():
     p = PlacementMap.initial_mapping(16, MESH, 1)
     assert p.relocate(3, 3) is False
-    assert p.core_of(3) == 3
+    assert p.cores[3] == 3
     assert loads(p, 16)[3] == 1
 
 
@@ -59,7 +60,7 @@ def test_folding_a_route_moves_the_qubit_to_its_end():
     p = PlacementMap.initial_mapping(16, MESH, 1)
     for core in MESH.xy_route(0, 15)[1:]:
         p.relocate(0, core)
-    assert p.core_of(0) == 15
+    assert p.cores[0] == 15
     assert loads(p, 16)[15] == 2
 
 
@@ -74,7 +75,7 @@ def test_invalid_qubit_is_rejected_and_moves_nothing(qubit):
     p = PlacementMap([0, 1], 2, 1)
     with pytest.raises(ValueError, match=f"qubit {qubit} outside 0..1"):
         p.relocate(qubit, 0)
-    assert [p.core_of(0), p.core_of(1)] == [0, 1]
+    assert p.cores == [0, 1]
     assert loads(p, 2, 2) == [1, 1]
 
 
@@ -90,10 +91,12 @@ def test_occupancy_is_conserved_under_random_relocations():
     rng = random.Random(5)
     p = PlacementMap.initial_mapping(20, MESH, 2)
     moves = [(rng.randrange(20), rng.randrange(16)) for _ in range(200)]
+    peak = p.peak
     for qubit, core in moves:
-        moved = p.core_of(qubit) != core
+        moved = p.cores[qubit] != core
         assert p.relocate(qubit, core) == (moved and loads(p, 20)[core] > 2)
-    assert p.max_occupancy() == max(loads(p, 20))
+        peak = max(peak, *loads(p, 20))
+    assert p.peak == peak >= max(loads(p, 20))
 
 
 def test_replaying_a_relocation_log_reproduces_the_map():
@@ -106,7 +109,7 @@ def test_replaying_a_relocation_log_reproduces_the_map():
     second = PlacementMap.initial_mapping(12, MESH, 1)
     flags_second = [second.relocate(q, c) for q, c in log]
     assert flags_first == flags_second
-    assert [first.core_of(q) for q in range(12)] == [second.core_of(q) for q in range(12)]
+    assert first.cores == second.cores
 
 
 @pytest.mark.parametrize("capacity", [1, 2, 3])
@@ -123,21 +126,23 @@ def test_one_call_move_matches_per_move_relocate(capacity):
     rng.shuffle(log)
     one_call = PlacementMap(qubit_core, 16, capacity)
     per_move = PlacementMap(qubit_core, 16, capacity)
-    congestion, peak = 0, per_move.max_occupancy()
+    congestion, peak = 0, per_move.peak
     for qubit, core in log:
         congestion += per_move.relocate(qubit, core)
         peak = max(peak, loads(per_move, 12)[core])
-    assert one_call.relocate_all(log, one_call.max_occupancy()) == (congestion, peak)
+    assert (one_call.relocate_all(log), one_call.peak) == (congestion, peak)
     assert congestion > 0 and peak > 2  # the log congests and raises the peak past the start's 2
-    assert list(map(one_call.core_of, range(12))) == list(map(per_move.core_of, range(12)))
-    assert one_call.max_occupancy() == per_move.max_occupancy() == max(loads(one_call, 12))
+    assert one_call.cores == per_move.cores
+    assert per_move.peak == peak
+    assert loads(one_call, 12) == loads(per_move, 12)
 
 
 @pytest.mark.parametrize("clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))], ids=["deepcopy", "pickle"])
 def test_a_copied_map_looks_up_its_own_qubits(clone):
     original = PlacementMap.initial_mapping(4, MESH, 1)
     copied = clone(original)
-    copied.relocate_all([(0, 5)], 0)
-    assert (copied.core_of(0), original.core_of(0)) == (5, 0)
+    copied.relocate_all([(0, 5), (1, 5)])
+    assert (copied.cores[0], original.cores[0]) == (5, 0)
+    assert (copied.peak, original.peak) == (2, 1)  # core 5 now holds qubits 0 and 1
     with pytest.raises(IndexError):
-        copied.core_of(4)
+        copied.cores[4]
