@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from . import experiment
-from .circuit import serialize_circuit
+from .circuit import ascii_number, serialize_circuit
 from .protocol import ProtocolError
 from .strategy import STRATEGIES
 
@@ -52,10 +52,10 @@ def _config_parser(sub, name: str, help_text: str) -> argparse.ArgumentParser:
     """A subcommand that reads an experiment configuration; see _config."""
     p = sub.add_parser(name, help=help_text)
     p.add_argument("--config", help="experiment config file")
-    p.add_argument("--seed", type=int, help="run exactly this seed, replacing sweep.seeds")
+    p.add_argument("--seed", type=ascii_number, help="run exactly this seed, replacing sweep.seeds")
     p.add_argument("--workload", help="synthetic | qft | cuccaro | mcmt | qv | circuit file")
     p.add_argument("--requests", help="total request counts, e.g. 1..32 or 5,10,20")
-    p.add_argument("--depth", type=int, help="synthetic circuit depth")
+    p.add_argument("--depth", type=ascii_number, help="synthetic circuit depth")
     p.add_argument("--cr", help="connectivity radius mode: fixed:<r> or random:<max>")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="override any config key")
     return p

@@ -16,23 +16,28 @@ A link, and each of a core's m communication qubits, is free from the finish
 of the last hop granted it; a hop takes the earliest-free qubit at each end.
 The idle gap before a grant's start is never backfilled by a later grant.
 A request's attempts are the sum of its hops' attempts, and its arrival is
-the latest finish among its hops, taken as each chain's last hop is granted.
-Attempts never depend on timing, so all of a request's are drawn when it is
-planned, from one stream per request, one call per chain: the source chain's
-hops first, in hop order, then the destination chain's. A request at distance
-d has d hops under either strategy, so hh and twt draw the same d attempt
-counts, in the same order, for a request between the same cores.
+the later finish of its chains' last hops. Attempts never depend on timing,
+so all of a request's are drawn when it is planned, in one call on one stream
+per request: the source chain's hops first, in hop order, then the
+destination chain's. A request at distance d has d hops under either
+strategy, so hh and twt draw the same d attempt counts, in the same order,
+for a request between the same cores.
 
-Qubits move as their hops finish: ties in finish go by gate id, then chain,
-then hop index. Each hop's row goes into a slot fixed when its request is
-planned, so a layer's rows sit in (gate id, chain, hop index) order, and a
-stable sort by finish alone gives the relocation order, which the placement
-map applies in one call.
+Each hop gets a slot when its request is planned, so a layer's slots run in
+(gate id, chain, hop index) order. The layer keeps each hop's destination
+core, qubit, attempts and finish in lists indexed by slot; the run keeps
+every link's free time in a list indexed by topology.link_index. Qubits
+move as their hops finish, ties in finish going by slot: a stable sort of
+the slots by finish gives the relocation order, which the placement map
+applies in one call.
 
 A run keeps only its totals. The first read of a report's hop or request
 records simulates the run again with logging on and stores both tuples; the
 determinism above makes that replay exact, and it is checked against the
-report's totals.
+report's totals. Run and replay look up layerize, plan_hops, chain_attempts
+and request_stream as module globals; plan, depth and entanglement_attempts
+are bound here too but never called, so patching them neither changes nor
+observes a run.
 
 With pipeline_hops enabled, entanglement for later hops of a chain may be
 generated while earlier hops are still in flight (resources permitting); the
@@ -49,16 +54,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from itertools import starmap
-from operator import itemgetter
 
-# depth and entanglement_attempts stay bound here although run no longer calls
-# them: perfbench/tracing.py wraps both by name.
+# depth, entanglement_attempts and plan stay bound here although run no longer
+# calls them: perfbench/tracing.py wraps each by name.
 from .circuit import Circuit, _collector_paused, depth, layerize  # noqa: F401
 from .placement import PlacementMap
 from .protocol import TimingConfig, chain_attempts, entanglement_attempts, request_stream  # noqa: F401
-from .strategy import STRATEGIES, plan
-from .topology import MeshTopology
+from .strategy import STRATEGIES, plan, plan_hops  # noqa: F401
+from .topology import MeshTopology, link_index
 
 
 @dataclass(frozen=True)
@@ -155,16 +158,16 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
     the gate-list format. The report starts without its hops and requests:
     the first read of either, or a replace, copy or pickle of the report,
     simulates the run once more with logging on and stores both tuples. That
-    replay looks up layerize, plan and request_stream as module globals, as
-    the run does, and raises RuntimeError if its totals differ from the
-    report's. Raises ValueError if the delay totals are not finite, as when
-    the timing values overflow.
+    replay looks up layerize, plan_hops, chain_attempts and request_stream
+    as module globals, as the run does, and raises RuntimeError if its
+    totals differ from the report's. Raises ValueError if the delay totals
+    are not finite, as when the timing values overflow.
 
-    Per layer, the run plans every request and draws each hop chain's
-    attempts in one call, grants the hops (_drain_hops) into rows held in
-    (gate id, chain, hop index) slots, takes each request's arrival at its
-    chains' last hops, then sorts the rows stably by finish and relocates
-    their qubits in one PlacementMap call.
+    Per layer, the run plans every request with plan_hops and draws its
+    attempts in one chain_attempts call, grants the hops (_drain_hops) by
+    slot, takes each request's arrival at its chains' last hops, then sorts
+    the slots stably by finish and relocates their qubits in one
+    PlacementMap call.
     """
     fields = _simulate(circuit, cfg, None)
     overflowed = [f"{name}={fields[name]}" for name in ("total_delay", "comm_delay_sum", "comm_delay_critical")
@@ -202,7 +205,7 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) 
     layers = layerize(circuit)  # looked up as a module global: perfbench/tracing.py wraps it
     gates = circuit.gates
     cores, relocate_all = placement.cores, placement.relocate_all
-    attempts_of = chain_attempts
+    strategy, hops_of, attempts_of = cfg.strategy, plan_hops, chain_attempts
     draws = timing.p_bsm < 1  # at p_bsm == 1 no hop consumes randomness, so requests get no stream
     if logs is not None:
         request_log, hop_log = logs
@@ -213,14 +216,21 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) 
     congestion_events = 0
     inter_core_requests = 0
     level = [0] * circuit.num_qubits  # expanded-circuit depth reached by each qubit
-    finish_of, move_of = itemgetter(8), itemgetter(3, 5)  # a hop row's finish and its (qubit, dst_core)
+    # Free times carry over between layers: none is past the layer start,
+    # which no hop starts before, so a stale one never delays a grant.
+    link_busy_until = [0.0] * (2 * topo.num_cores)  # by link_index: finish of the link's last grant
+    # Per core, a min-heap of qubit free times. A layer moves a qubit at most
+    # once, through a core at most once, so no core serves over 2 * num_qubits
+    # hops in a layer, and a free time past that count is never the min.
+    m = min(cfg.m_per_core, 2 * circuit.num_qubits)
+    comm_free_at = [[0.0] * m for _ in range(topo.num_cores)]
 
     for layer in layers:
-        pending = []  # one _drain_hops heap entry per hop chain
-        # Each hop's entanglement attempts, by slot: (gate_id, chain,
-        # hop_index) order, since a layer lists its gate ids in ascending order.
-        attempts = []
-        requests = []  # (gate_id, src_core, dst_core, distance, rounds, attempts), until the record is built
+        heap = []  # one _drain_hops entry per hop chain
+        # Per hop, by slot: (gate_id, chain, hop_index) order, since a layer
+        # lists its gate ids in ascending order.
+        hop_dst, hop_qubit, attempts, chain_end = [], [], [], []
+        requests = []  # (gate_id, src_core, dst_core, source hops, destination hops)
         for gate_id in layer:
             qubits = gates[gate_id].qubits
             if len(qubits) == 1:  # Circuit has checked every gate's arity
@@ -235,43 +245,50 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) 
                     gate_level = level[q_dst]
                 level[q_src] = level[q_dst] = gate_level + 1
                 continue
-            comm_plan = plan(cfg.strategy, topo, src_core, dst_core)
+            src_hops, dst_hops = hops_of(strategy, topo, src_core, dst_core)
+            n_src, n_dst = len(src_hops), len(dst_hops)
             # One teleport marker per hop on each moving qubit, before the gate.
-            level[q_src] += len(comm_plan.src_hops)
-            level[q_dst] += len(comm_plan.dst_hops)
+            level[q_src] += n_src
+            level[q_dst] += n_dst
             level[q_src] = level[q_dst] = max(level[q_src], level[q_dst]) + 1
-            request_attempts = 0
-            # Draws never depend on timing, so they are all made here, one
-            # call per chain: the chains take consecutive draws of the
-            # request's one stream.
-            rng = request_stream(cfg.seed, gate_id) if draws else None
-            for chain_idx, (qubit, start_core, route) in enumerate(
-                [(q_src, src_core, comm_plan.src_hops), (q_dst, dst_core, comm_plan.dst_hops)]
-            ):
-                if route:
-                    pending.append((now, gate_id, chain_idx, 0, qubit, start_core, now, route, len(attempts)))
-                    hop_attempts = attempts_of(timing, rng, len(route))
-                    request_attempts += sum(hop_attempts)
-                    attempts += hop_attempts
-            distance = topo.hop_distance(src_core, dst_core)
-            requests.append((gate_id, src_core, dst_core, distance, comm_plan.rounds, request_attempts))
+            slot = len(attempts)
+            heap.append((now, slot, now, src_core))
+            if n_dst:
+                heap.append((now, slot + n_src, now, dst_core))
+            hop_dst += src_hops + dst_hops
+            hop_qubit += [q_src] * n_src + [q_dst] * n_dst
+            # Draws never depend on timing, so they are all made here, in
+            # one call: the source chain's hops, then the destination's.
+            attempts += attempts_of(timing, request_stream(cfg.seed, gate_id) if draws else None, n_src + n_dst)
+            chain_end += [False] * (n_src + n_dst)
+            chain_end[slot + n_src - 1] = chain_end[-1] = True
+            requests.append((gate_id, src_core, dst_core, n_src, n_dst))
 
         layer_end = now + t_gate  # every gate ends here or later: a request arrives at now or later
+        if not requests:
+            now = layer_end
+            continue
         granted = [] if logs is not None else None
-        hop_rows, arrival = _drain_hops(cfg, pending, attempts, granted)
-        if logs is not None:
-            hop_log.extend(starmap(HopRecord, granted))
-        # Stable: rows of equal finish keep their slot order, so this is
+        finishes = _drain_hops(cfg, heap, hop_dst, attempts, chain_end, link_busy_until, comm_free_at, granted)
+        # Stable: slots of equal finish keep their order, so this is
         # (finish, gate_id, chain, hop_index) order.
-        hop_rows.sort(key=finish_of)
-        congestion_events += relocate_all(map(move_of, hop_rows))
+        order = sorted(range(len(finishes)), key=finishes.__getitem__)
+        congestion_events += relocate_all(zip(map(hop_qubit.__getitem__, order), map(hop_dst.__getitem__, order)))
+        if logs is not None:
+            labels = [(gate_id, chain, hop) for gate_id, _, _, n_src, n_dst in requests
+                      for chain, n in ((0, n_src), (1, n_dst)) for hop in range(n)]
+            hop_log.extend(HopRecord(*labels[slot], hop_qubit[slot], src, hop_dst[slot], attempts[slot], start,
+                                     finishes[slot]) for slot, src, start in granted)
 
         inter_core_requests += len(requests)
         layer_latency = 0.0
-        for request in requests:
-            arrived = arrival[request[0]]
+        slot = 0
+        for gate_id, src_core, dst_core, n_src, n_dst in requests:
+            arrived = max(finishes[slot + n_src - 1], finishes[slot + n_src + n_dst - 1])  # its chains' last hops
+            slot += n_src + n_dst
             if logs is not None:
-                request_log.append(RequestRecord(*request, now, arrived))
+                request_log.append(RequestRecord(gate_id, src_core, dst_core, n_src + n_dst, max(n_src, n_dst),
+                                                 sum(attempts[slot - n_src - n_dst : slot]), now, arrived))
             latency = arrived - now  # RequestRecord.latency
             comm_sum += latency
             layer_latency = max(layer_latency, latency)
@@ -293,44 +310,37 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) 
     )
 
 
-def _drain_hops(cfg, pending, attempts, granted):
-    """Grant every hop of the layer's chains; return (rows, arrival).
+def _drain_hops(cfg, heap, hop_dst, attempts, chain_end, link_busy_until, comm_free_at, granted):
+    """Grant every hop of the layer's chains; return each slot's finish.
 
-    pending holds one heap entry per chain, for its next hop:
-    (ready, gate_id, chain, hop_index, qubit, core, data_at, route, slot).
-    The qubit's data is at core from data_at on, and route lists the core
-    each hop of the chain goes to. A chain's hops have consecutive slots,
-    fixed at planning: attempts[slot] is the hop's entanglement attempts and
-    rows[slot] its row of HopRecord fields, so rows come out in (gate_id,
-    chain, hop_index) order. arrival maps each gate id to the latest finish
-    of its chains' last hops. granted, unless None, gets each row in grant
-    order. The first four entry fields are unique, so heap comparison never
-    reaches route.
+    heap holds one entry per chain, for its next hop: (ready, slot, data_at,
+    src). The chain's qubit is at core src from data_at on. A chain's hops
+    have consecutive slots, fixed at planning: hop_dst[slot] is the core the
+    hop goes to, attempts[slot] its entanglement attempts, and
+    chain_end[slot] whether it is its chain's last. Slots are unique and
+    run in (gate_id, chain, hop_index) order, so entries pop in the order
+    the module docstring gives. Grants update
+    link_busy_until and comm_free_at in place. granted, unless None, gets
+    each hop's (slot, src, start) in grant order.
     """
-    topo, timing = cfg.topology, cfg.timing
-    link_busy_until: dict[tuple[int, int], float] = {}  # link -> finish of its last grant
-    # Per core, a min-heap of qubit free times. No core serves more than the
-    # layer's len(attempts) hops, so a free time past that count is never the min.
-    comm_free_at = [[0.0] * min(cfg.m_per_core, len(attempts)) for _ in range(topo.num_cores)]
-    link_between = topo.bsm_link_between
+    timing = cfg.timing
     t_epr, tail = timing.t_epr, timing.t_meas + timing.t_classical + timing.t_correct
     pipelined = cfg.pipeline_hops
     heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
-    rows: list[tuple | None] = [None] * len(attempts)
-    arrival: dict[int, float] = {}
+    finishes = [0.0] * len(attempts)
 
     # Every entry starts ready at the layer start. A pipelined chain's next
     # hop stays ready then, so it pops before every other chain's pending
     # entry, the order that queueing all its hops up front would give.
-    heapq.heapify(pending)
+    heapq.heapify(heap)
 
     # Same arithmetic as max(), written out; TimingConfig rejects NaN, on
     # which the two would differ.
-    while pending:
-        ready, gate_id, chain_idx, hop_idx, qubit, src, data_at, route, slot = heappop(pending)
-        dst = route[hop_idx]
-        link = link_between(src, dst)
-        start = link_busy_until.get(link, 0.0)
+    while heap:
+        ready, slot, data_at, src = heappop(heap)
+        dst = hop_dst[slot]
+        link = link_index(src, dst)
+        start = link_busy_until[link]
         if ready > start:
             start = ready
         # Each end core needs a free communication qubit: wait for its earliest.
@@ -339,8 +349,7 @@ def _drain_hops(cfg, pending, attempts, granted):
             start = src_free[0]
         if dst_free[0] > start:
             start = dst_free[0]
-        hop_attempts = attempts[slot]
-        epr_done = start + hop_attempts * t_epr
+        epr_done = start + attempts[slot] * t_epr
         finish = data_at
         if epr_done > finish:
             finish = epr_done
@@ -348,15 +357,12 @@ def _drain_hops(cfg, pending, attempts, granted):
         link_busy_until[link] = finish
         heapreplace(src_free, finish)  # finish >= start >= the replaced free time
         heapreplace(dst_free, finish)
-        row = rows[slot] = (gate_id, chain_idx, hop_idx, qubit, src, dst, hop_attempts, start, finish)
+        finishes[slot] = finish
         if granted is not None:
-            granted.append(row)
-        if hop_idx + 1 < len(route):
-            next_ready = ready if pipelined else finish
-            heappush(pending, (next_ready, gate_id, chain_idx, hop_idx + 1, qubit, dst, finish, route, slot + 1))
-        elif finish > arrival.get(gate_id, -math.inf):  # the chain's qubit has arrived
-            arrival[gate_id] = finish
-    return rows, arrival
+            granted.append((slot, src, start))
+        if not chain_end[slot]:
+            heappush(heap, (ready if pipelined else finish, slot + 1, finish, dst))
+    return finishes
 
 
 def audit_resources(report: SimReport, cfg: SimConfig) -> list[str]:

@@ -514,8 +514,8 @@ def read_rows(csv_path: str) -> list[dict]:
             rows = []
             for row in reader:
                 try:
-                    parsed = {c: row[c] if c in TEXT_COLUMNS else float(row[c]) for c in CSV_COLUMNS}
-                except (TypeError, ValueError):  # a short row holds None in its last columns
+                    parsed = {c: row[c] if c in TEXT_COLUMNS else ascii_number(row[c], float) for c in CSV_COLUMNS}
+                except (AttributeError, ValueError):  # a short row holds None in its last columns
                     raise ValueError(f"{csv_path}:{reader.line_num}: a numeric column is missing or not a number") from None
                 bad = next((c for c in CSV_COLUMNS if c not in TEXT_COLUMNS and not math.isfinite(parsed[c])), None)
                 if bad:

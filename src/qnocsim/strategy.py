@@ -10,11 +10,12 @@ closer to the destination when the distance d is odd. For diagonal
 placements the source moves only along x, the destination only along y, and
 they meet at the route's corner (x of destination, y of source). The gate
 runs at the meeting core. ``twt_meeting_core`` holds this rule, computed from
-the row-major core ids alone; ``plan_twt`` and the synthetic generator both
+the row-major core ids alone; ``plan_hops`` and the synthetic generator both
 call it.
 
 Planners are pure; plans are computed once from current positions and never
-revised mid-flight.
+revised mid-flight. ``plan_hops`` holds the split of the route, which plan,
+plan_hh and plan_twt wrap in a CommPlan and the engine reads directly.
 """
 
 from __future__ import annotations
@@ -40,14 +41,12 @@ class CommPlan:
 
 def plan_hh(topology: MeshTopology, src: int, dst: int) -> CommPlan:
     """Source qubit walks the XY route to the destination core."""
-    route = topology.xy_route(src, dst)
-    return _split(route, len(route) - 1)
+    return plan("hh", topology, src, dst)
 
 
 def plan_twt(topology: MeshTopology, src: int, dst: int) -> CommPlan:
     """Both qubits converge on a meeting core on the XY route; see module docstring."""
-    route = topology.xy_route(src, dst)
-    return _split(route, route.index(twt_meeting_core(topology, src, dst)))
+    return plan("twt", topology, src, dst)
 
 
 def twt_meeting_core(topology: MeshTopology, src: int, dst: int) -> int:
@@ -68,20 +67,17 @@ def twt_meeting_core(topology: MeshTopology, src: int, dst: int) -> int:
 
 
 def plan(strategy: str, topology: MeshTopology, src: int, dst: int) -> CommPlan:
-    if strategy == "hh":
-        return plan_hh(topology, src, dst)
-    if strategy == "twt":
-        return plan_twt(topology, src, dst)
-    raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+    src_hops, dst_hops = plan_hops(strategy, topology, src, dst)
+    return CommPlan(tuple(src_hops), tuple(dst_hops), exec_core=src_hops[-1])
 
 
-def _split(route: list[int], meet: int) -> CommPlan:
-    """The source walks route up to index meet; the destination walks back down to it."""
+def plan_hops(strategy: str, topology: MeshTopology, src: int, dst: int) -> tuple[list[int], list[int]]:
+    """plan's src_hops and dst_hops as lists: the source walks the XY route up
+    to the meeting core, never src itself, and the destination walks back to it."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+    route = topology.xy_route(src, dst)
     if len(route) == 1:
         raise ValueError(_SHARED_CORE)
-    # dst_hops is route[meet:-1] reversed; the negative stop keeps index 0 when meet is 0.
-    return CommPlan(
-        src_hops=tuple(route[1 : meet + 1]),
-        dst_hops=tuple(route[-2 : meet - len(route) - 1 : -1]),
-        exec_core=route[meet],
-    )
+    meet = len(route) - 1 if strategy == "hh" else route.index(twt_meeting_core(topology, src, dst))
+    return route[1 : meet + 1], route[-2 : meet - 1 : -1]  # the second is route[meet:-1] reversed

@@ -2,11 +2,11 @@
 
 Cores are numbered row-major: core id = y * width + x, core 0 in the corner
 at (0, 0). Every pair of adjacent cores shares one Bell-state-measurement
-(BSM) node, identified by the canonical (low, high) core-id pair. Routes
-follow deterministic XY routing: correct the x coordinate first, then y.
-Instances are immutable after construction and safe to share; each builds
-its coordinate and link tables once, and each ring (the cores at a given hop
-distance from an origin) on first use.
+(BSM) node, identified by the canonical (low, high) core-id pair, or by
+link_index as an integer. Routes follow deterministic XY routing: correct
+the x coordinate first, then y. Instances are immutable after construction
+and safe to share; each builds its coordinate and link tables once, and each
+ring (the cores at a given hop distance from an origin) on first use.
 """
 
 from __future__ import annotations
@@ -117,3 +117,10 @@ class MeshTopology:
     def bsm_links(self) -> list[tuple[int, int]]:
         """All BSM links, one per unordered adjacent core pair, in ascending order."""
         return sorted(set(self._links.values()))
+
+
+def link_index(a: int, b: int) -> int:
+    """The BSM link joining adjacent cores a and b as an index below 2 * num_cores:
+    twice the lower id, plus one unless the ids are consecutive. Unique on
+    every mesh, as a width-1 mesh has no links along a row."""
+    return 2 * (a if a < b else b) + (abs(a - b) != 1)

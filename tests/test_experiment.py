@@ -362,6 +362,16 @@ def test_plot_data_rejects_missing_columns(tmp_path):
             emit_plot_data(str(bad), str(tmp_path / "plots"))
 
 
+@pytest.mark.parametrize("value", ["1_0", "\u0663"])
+def test_cli_plotdata_refuses_a_number_that_is_not_ascii_or_holds_an_underscore(tmp_path, capsys, value):
+    """float() reads '1_0' as 10 and '\u0663' as 3; a results CSV holds neither."""
+    csv_path = tmp_path / "r.csv"
+    csv_path.write_text(",".join(CSV_COLUMNS) + f"\nqft8,hh,-,1,1,14,2,16,1,2,0,1\nqft8,hh,-,1,1,{value},2,16,1,2,0,1\n")
+    assert cli.main(["plotdata", str(csv_path), "--out", str(tmp_path / "plots")]) == 1
+    assert capsys.readouterr().err == f"error: {csv_path}:3: a numeric column is missing or not a number\n"
+    assert not (tmp_path / "plots").exists()
+
+
 def test_cli_gen_roundtrip(tmp_path, capsys):
     out = tmp_path / "qft.qc"
     assert cli.main(["gen", "--workload", "qft", "--set", "qft.qubits=5", "--out", str(out)]) == 0
@@ -671,6 +681,19 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not out_dir.exists()  # refused before results.csv is opened
+
+
+@pytest.mark.parametrize("command", ["run", "gen"])
+@pytest.mark.parametrize("flag", ["--seed", "--depth"])
+@pytest.mark.parametrize("value", ["\u0663", "1_0"])
+def test_cli_integer_flags_refuse_what_an_integer_config_value_refuses(tmp_path, capsys, command, flag, value):
+    """int() reads '\u0663' as 3 and '1_0' as 10; --set sim.seed refuses both, and so do the flags."""
+    out = tmp_path / "refused"
+    with pytest.raises(SystemExit) as exited:
+        cli.main([command, "--workload", "synthetic", "--requests", "4", flag, value, "--out", str(out)])
+    assert exited.value.code == 2
+    assert f"argument {flag}: invalid ascii_number value: {value!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_a_too_large_circuit_is_refused_before_it_is_built(monkeypatch):

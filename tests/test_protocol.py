@@ -76,6 +76,37 @@ def test_a_chain_draw_fails_at_the_hop_that_runs_out_of_attempts(k):
     assert chain.values == [0.9, 0.5]
 
 
+@pytest.mark.parametrize("p_bsm", [0.5, 0.3])
+@pytest.mark.parametrize("a, b", [(3, 0), (1, 1), (2, 4), (5, 2)])
+def test_one_request_draw_equals_its_two_chain_draws(p_bsm, a, b):
+    """The engine draws a request's a + b hops in one call: the values, and
+    the stream left behind, of a source-chain call followed by a
+    destination-chain call."""
+    timing = TimingConfig(p_bsm=p_bsm)
+    for gate_id in range(30):
+        one, two = request_stream(4, gate_id), request_stream(4, gate_id)
+        assert chain_attempts(timing, one, a + b) == chain_attempts(timing, two, a) + chain_attempts(timing, two, b)
+        assert one.random() == two.random()
+
+
+@pytest.mark.parametrize("a, b", [(2, 2), (1, 3)])
+def test_one_request_draw_fails_at_the_hop_its_two_chain_draws_fail_at(a, b):
+    """Hop k of a + b runs out of attempts: one call raises the ProtocolError
+    that the chain holding hop k raises, having consumed the same values."""
+    cfg = TimingConfig(p_bsm=0.5, max_attempts=2)
+    for k in range(a + b):
+        script = [0.9, 0.1] * k + [0.9, 0.9, 0.9, 0.5]
+        two = ScriptedRng(script)
+        with pytest.raises(ProtocolError) as chains:
+            chain_attempts(cfg, two, a)
+            chain_attempts(cfg, two, b)
+        one = ScriptedRng(script)
+        with pytest.raises(ProtocolError) as request:
+            chain_attempts(cfg, one, a + b)
+        assert str(request.value) == str(chains.value) == "entanglement not heralded within 2 attempts"
+        assert one.values == two.values == [0.9, 0.5]
+
+
 def test_invalid_probability_rejected():
     with pytest.raises(ValueError):
         entanglement_attempts(TimingConfig(p_bsm=0.0), random.Random(0))

@@ -1,7 +1,9 @@
+from itertools import permutations
+
 import pytest
 
 from oracles import xy_route_by_steps
-from qnocsim.strategy import plan, plan_hh, plan_twt, twt_meeting_core
+from qnocsim.strategy import STRATEGIES, plan, plan_hh, plan_hops, plan_twt, twt_meeting_core
 from qnocsim.topology import MeshTopology
 from test_topology import MESHES
 
@@ -100,6 +102,20 @@ def test_meeting_core_rejects_what_the_planner_rejects(src, dst):
     with pytest.raises(ValueError) as met:
         twt_meeting_core(MESH, src, dst)
     assert str(met.value) == str(planned.value)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("mesh", [MeshTopology(4, 4), MeshTopology(5, 3), MeshTopology(1, 6), MeshTopology(6, 1)],
+                         ids=lambda t: f"{t.width}x{t.height}")
+def test_plan_hops_gives_the_plans_chains_distance_and_rounds_on_every_pair(mesh, strategy):
+    """The engine reads a request's chains from plan_hops, its distance as
+    their total length and its rounds as the longer one."""
+    for src, dst in permutations(range(mesh.num_cores), 2):
+        src_hops, dst_hops = plan_hops(strategy, mesh, src, dst)
+        p = plan(strategy, mesh, src, dst)
+        assert (tuple(src_hops), tuple(dst_hops)) == (p.src_hops, p.dst_hops)
+        assert len(src_hops) + len(dst_hops) == mesh.hop_distance(src, dst)
+        assert max(len(src_hops), len(dst_hops)) == p.rounds
 
 
 def test_plan_dispatch():

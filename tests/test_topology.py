@@ -1,7 +1,7 @@
 import pytest
 
 from oracles import xy_route_by_steps
-from qnocsim.topology import MeshTopology
+from qnocsim.topology import MeshTopology, link_index
 
 MESHES = [MeshTopology(1, 1), MeshTopology(2, 3), MeshTopology(4, 4), MeshTopology(5, 2), MeshTopology(8, 8)]
 
@@ -116,6 +116,16 @@ def test_bsm_link_is_canonical_and_symmetric():
     assert t.bsm_link_between(3, 7) == (3, 7)
     for a, b in t.bsm_links():
         assert t.bsm_link_between(a, b) == t.bsm_link_between(b, a)
+
+
+@pytest.mark.parametrize("t", [MeshTopology(w, h) for w, h in ((1, 1), (1, 5), (5, 1), (2, 3), (4, 4), (16, 16))],
+                         ids=lambda t: f"{t.width}x{t.height}")
+def test_link_index_numbers_each_link_once_below_twice_the_core_count(t):
+    links = t.bsm_links()
+    indices = {link_index(a, b) for a, b in links}
+    assert len(indices) == len(links)
+    assert indices <= set(range(2 * t.num_cores))
+    assert all(link_index(b, a) == link_index(a, b) for a, b in links)
 
 
 def test_bsm_link_rejects_non_adjacent_pair():
