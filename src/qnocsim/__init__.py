@@ -7,13 +7,12 @@ from .circuit import Circuit, Gate, ParseError, layerize, parse_circuit, seriali
 from .engine import SimConfig, SimReport, audit_resources, run
 from .placement import CapacityError, PlacementMap
 from .protocol import ProtocolError, TimingConfig
-from .strategy import CommPlan, plan, plan_hh, plan_twt
+from .strategy import plan
 from .topology import MeshTopology
 
 __all__ = [
     "CapacityError",
     "Circuit",
-    "CommPlan",
     "CrMode",
     "Gate",
     "GenerationError",
@@ -34,8 +33,6 @@ __all__ = [
     "layerize",
     "parse_circuit",
     "plan",
-    "plan_hh",
-    "plan_twt",
     "run",
     "serialize_circuit",
 ]

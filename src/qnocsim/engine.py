@@ -34,8 +34,8 @@ applies in one call.
 A run keeps only its totals. The first read of a report's hop or request
 records simulates the run again with logging on and stores both tuples; the
 determinism above makes that replay exact, and it is checked against the
-report's totals. Run and replay look up layerize, plan_hops, chain_attempts
-and request_stream as module globals; plan, depth and entanglement_attempts
+report's totals. Run and replay look up layerize, plan, chain_attempts and
+request_stream as module globals; depth, entanglement_attempts and Circuit
 are bound here too but never called, so patching them neither changes nor
 observes a run.
 
@@ -55,12 +55,12 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-# depth, entanglement_attempts and plan stay bound here although run no longer
-# calls them: perfbench/tracing.py wraps each by name.
+# depth, entanglement_attempts and Circuit stay bound here although run calls
+# none of them: perfbench/tracing.py wraps each by name.
 from .circuit import Circuit, _collector_paused, depth, layerize  # noqa: F401
 from .placement import PlacementMap
 from .protocol import TimingConfig, chain_attempts, entanglement_attempts, request_stream  # noqa: F401
-from .strategy import STRATEGIES, plan, plan_hops  # noqa: F401
+from .strategy import STRATEGIES, plan
 from .topology import MeshTopology, link_index
 
 
@@ -158,12 +158,12 @@ def run(circuit: Circuit, cfg: SimConfig) -> SimReport:
     the gate-list format. The report starts without its hops and requests:
     the first read of either, or a replace, copy or pickle of the report,
     simulates the run once more with logging on and stores both tuples. That
-    replay looks up layerize, plan_hops, chain_attempts and request_stream
-    as module globals, as the run does, and raises RuntimeError if its
+    replay looks up layerize, plan, chain_attempts and request_stream as
+    module globals, as the run does, and raises RuntimeError if its
     totals differ from the report's. Raises ValueError if the delay totals
     are not finite, as when the timing values overflow.
 
-    Per layer, the run plans every request with plan_hops and draws its
+    Per layer, the run plans every request with plan and draws its
     attempts in one chain_attempts call, grants the hops (_drain_hops) by
     slot, takes each request's arrival at its chains' last hops, then sorts
     the slots stably by finish and relocates their qubits in one
@@ -205,7 +205,7 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) 
     layers = layerize(circuit)  # looked up as a module global: perfbench/tracing.py wraps it
     gates = circuit.gates
     cores, relocate_all = placement.cores, placement.relocate_all
-    strategy, hops_of, attempts_of = cfg.strategy, plan_hops, chain_attempts
+    strategy, hops_of, attempts_of = cfg.strategy, plan, chain_attempts
     draws = timing.p_bsm < 1  # at p_bsm == 1 no hop consumes randomness, so requests get no stream
     if logs is not None:
         request_log, hop_log = logs

@@ -10,17 +10,14 @@ closer to the destination when the distance d is odd. For diagonal
 placements the source moves only along x, the destination only along y, and
 they meet at the route's corner (x of destination, y of source). The gate
 runs at the meeting core. ``twt_meeting_core`` holds this rule, computed from
-the row-major core ids alone; ``plan_hops`` and the synthetic generator both
-call it.
+the row-major core ids alone; ``plan`` and the synthetic generator both call
+it.
 
-Planners are pure; plans are computed once from current positions and never
-revised mid-flight. ``plan_hops`` holds the split of the route, which plan,
-plan_hh and plan_twt wrap in a CommPlan and the engine reads directly.
+The planner is pure; a plan is computed once from current positions and
+never revised mid-flight.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .topology import MeshTopology
 
@@ -28,32 +25,11 @@ STRATEGIES = ("hh", "twt")
 _SHARED_CORE = "operands share a core; no communication plan applies"
 
 
-@dataclass(frozen=True)
-class CommPlan:
-    src_hops: tuple[int, ...]
-    dst_hops: tuple[int, ...]
-    exec_core: int
-
-    @property
-    def rounds(self) -> int:
-        return max(len(self.src_hops), len(self.dst_hops))
-
-
-def plan_hh(topology: MeshTopology, src: int, dst: int) -> CommPlan:
-    """Source qubit walks the XY route to the destination core."""
-    return plan("hh", topology, src, dst)
-
-
-def plan_twt(topology: MeshTopology, src: int, dst: int) -> CommPlan:
-    """Both qubits converge on a meeting core on the XY route; see module docstring."""
-    return plan("twt", topology, src, dst)
-
-
 def twt_meeting_core(topology: MeshTopology, src: int, dst: int) -> int:
-    """The core where plan_twt runs the gate, found without building a route."""
+    """The core where plan("twt", ...) runs the gate, found without building a route."""
     width = topology.width
     cores = width * topology.height
-    if not (0 <= src < cores and 0 <= dst < cores):  # coord_of raises plan_twt's error
+    if not (0 <= src < cores and 0 <= dst < cores):  # coord_of raises plan's error
         topology.coord_of(src)
         topology.coord_of(dst)
     if src == dst:
@@ -66,14 +42,10 @@ def twt_meeting_core(topology: MeshTopology, src: int, dst: int) -> int:
     return src + (dst - src) // d * ((d + 1) // 2)
 
 
-def plan(strategy: str, topology: MeshTopology, src: int, dst: int) -> CommPlan:
-    src_hops, dst_hops = plan_hops(strategy, topology, src, dst)
-    return CommPlan(tuple(src_hops), tuple(dst_hops), exec_core=src_hops[-1])
-
-
-def plan_hops(strategy: str, topology: MeshTopology, src: int, dst: int) -> tuple[list[int], list[int]]:
-    """plan's src_hops and dst_hops as lists: the source walks the XY route up
-    to the meeting core, never src itself, and the destination walks back to it."""
+def plan(strategy: str, topology: MeshTopology, src: int, dst: int) -> tuple[list[int], list[int]]:
+    """(src_hops, dst_hops): the source walks the XY route up to the meeting
+    core, never src itself, and the destination walks back to it. The gate
+    runs at src_hops[-1]; dst_hops is empty under hh."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     route = topology.xy_route(src, dst)

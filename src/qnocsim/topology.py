@@ -5,8 +5,8 @@ at (0, 0). Every pair of adjacent cores shares one Bell-state-measurement
 (BSM) node, identified by the canonical (low, high) core-id pair, or by
 link_index as an integer. Routes follow deterministic XY routing: correct
 the x coordinate first, then y. Instances are immutable after construction
-and safe to share; each builds its coordinate and link tables once, and each
-ring (the cores at a given hop distance from an origin) on first use.
+and safe to share; each builds its coordinate table once, and each ring
+(the cores at a given hop distance from an origin) on first use.
 """
 
 from __future__ import annotations
@@ -23,15 +23,7 @@ class MeshTopology:
         if self.width < 1 or self.height < 1:
             raise ValueError(f"mesh dimensions must be positive, got {self.width}x{self.height}")
         coords = tuple((core % self.width, core // self.width) for core in range(self.width * self.height))
-        links: dict[tuple[int, int], tuple[int, int]] = {}
-        for core, (x, y) in enumerate(coords):
-            if x < self.width - 1:
-                links[core, core + 1] = links[core + 1, core] = (core, core + 1)
-            if y < self.height - 1:
-                below = core + self.width
-                links[core, below] = links[below, core] = (core, below)
         object.__setattr__(self, "_coords", coords)  # core id -> (x, y)
-        object.__setattr__(self, "_links", links)  # (a, b) and (b, a) -> canonical link id
         object.__setattr__(self, "_rings", {})  # (origin, radius) -> ring, filled by ring()
 
     @property
@@ -106,17 +98,26 @@ class MeshTopology:
         return route
 
     def bsm_link_between(self, a: int, b: int) -> tuple[int, int]:
-        """Canonical id of the BSM link joining two adjacent cores."""
-        link = self._links.get((a, b))
-        if link is None:
+        """Canonical id of the BSM link joining two adjacent cores: (low, high)."""
+        coords = self._coords
+        if not (0 <= a < len(coords) and 0 <= b < len(coords)):
             self._check_core(a)
             self._check_core(b)
+        (ax, ay), (bx, by) = coords[a], coords[b]
+        if abs(ax - bx) + abs(ay - by) != 1:
             raise ValueError(f"no BSM link between non-adjacent cores {a} and {b}")
-        return link
+        return (a, b) if a < b else (b, a)
 
     def bsm_links(self) -> list[tuple[int, int]]:
-        """All BSM links, one per unordered adjacent core pair, in ascending order."""
-        return sorted(set(self._links.values()))
+        """All BSM links, one per unordered adjacent core pair, in ascending order:
+        each core's row link to its right, then its column link below it."""
+        links = []
+        for core, (x, y) in enumerate(self._coords):
+            if x < self.width - 1:
+                links.append((core, core + 1))
+            if y < self.height - 1:
+                links.append((core, core + self.width))
+        return links
 
 
 def link_index(a: int, b: int) -> int:

@@ -16,7 +16,7 @@ from qnocsim.circuit import Circuit
 from qnocsim.engine import SimConfig, audit_resources, run
 from qnocsim.experiment import default_bundle, run_experiment
 from qnocsim.protocol import TimingConfig, chain_attempts, request_stream
-from qnocsim.strategy import plan_twt
+from qnocsim.strategy import plan
 from qnocsim.topology import MeshTopology
 from test_golden import assert_same_files
 
@@ -83,12 +83,12 @@ def test_criterion_1_route_fidelity():
     MESH.xy_route(0, 15)  # warm up
     started = time.perf_counter()
     route = MESH.xy_route(0, 15)
-    plan = plan_twt(MESH, 0, 15)
+    src_hops, dst_hops = plan("twt", MESH, 0, 15)
     elapsed = time.perf_counter() - started
     assert route == [0, 1, 2, 3, 7, 11, 15]
-    assert plan.exec_core == 3
-    assert plan.src_hops == (1, 2, 3)
-    assert plan.dst_hops == (11, 7, 3)
+    assert src_hops[-1] == 3
+    assert src_hops == [1, 2, 3]
+    assert dst_hops == [11, 7, 3]
     assert elapsed < 1e-3, f"routing took {elapsed * 1e3:.3f} ms"
     print("\nACCEPTANCE 1 route fidelity: PASS")
 
@@ -114,7 +114,8 @@ def test_criterion_3_round_ratios_and_reduction_ordering():
         for dst in range(16):
             if src == dst:
                 continue
-            hh_rounds, twt_rounds = MESH.hop_distance(src, dst), plan_twt(MESH, src, dst).rounds
+            src_hops, dst_hops = plan("twt", MESH, src, dst)
+            hh_rounds, twt_rounds = MESH.hop_distance(src, dst), max(len(src_hops), len(dst_hops))
             assert _single_request_latency(src, dst, "hh").requests[0].latency == hh_rounds * HOP
             assert _single_request_latency(src, dst, "twt").requests[0].latency == twt_rounds * HOP
 
@@ -161,8 +162,8 @@ def test_criterion_5_depth_accounting_exhaustive():
             assert hh.expanded_depth - hh.original_depth == MESH.hop_distance(src, dst)
             assert hh.expanded_depth == dag_depth_oracle(expanded_by_program_order(circuit, hh.hops))
             twt = run(circuit, _cfg("twt", qpc=1))
-            plan = plan_twt(MESH, src, dst)
-            assert twt.expanded_depth - twt.original_depth == max(len(plan.src_hops), len(plan.dst_hops))
+            src_hops, dst_hops = plan("twt", MESH, src, dst)
+            assert twt.expanded_depth - twt.original_depth == max(len(src_hops), len(dst_hops))
             assert twt.expanded_depth == dag_depth_oracle(expanded_by_program_order(circuit, twt.hops))
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"exhaustive depth check took {elapsed:.1f} s"

@@ -23,7 +23,7 @@ from qnocsim.engine import SimConfig, audit_resources, run
 from qnocsim.experiment import RunPoint, paired_reductions, row_for
 from qnocsim.placement import CapacityError
 from qnocsim.protocol import TimingConfig
-from qnocsim.strategy import plan_hh, plan_twt
+from qnocsim.strategy import plan
 from qnocsim.topology import MeshTopology
 
 MESH = MeshTopology(4, 4)
@@ -263,11 +263,11 @@ def test_transposing_a_square_mesh_changes_an_hh_route():
     on 3x3 some hh route is not the transpose of the transposed pair's route."""
     mesh = MeshTopology(3, 3)
     transpose = [x * mesh.width + y for x, y in (mesh.coord_of(core) for core in range(mesh.num_cores))]
-    route = plan_hh(mesh, 0, 8).src_hops
-    assert route == (1, 2, 5, 8)
-    assert tuple(transpose[c] for c in route) == (3, 6, 7, 8) != plan_hh(mesh, transpose[0], transpose[8]).src_hops
+    route, _ = plan("hh", mesh, 0, 8)
+    assert route == [1, 2, 5, 8]
+    assert [transpose[c] for c in route] == [3, 6, 7, 8] != plan("hh", mesh, transpose[0], transpose[8])[0]
     report = run(Circuit.from_ops(9, [("cx", (0, 8))]), cfg_for("hh", mesh=mesh))
-    assert tuple(hop.dst_core for hop in report.hops) == route
+    assert [hop.dst_core for hop in report.hops] == route
 
 
 # The engine's mean latency over seeds 0..SEEDS-1 for one uncontended request
@@ -284,9 +284,9 @@ Z = 4.0
 def test_uncontended_latency_mean_matches_exact_negative_binomial(p_bsm, dst):
     c = Circuit.from_ops(16, [("cx", (0, dst))])
     timing = TimingConfig(p_bsm=p_bsm)
-    twt_plan = plan_twt(MESH, 0, dst)
-    src_chain = chain_latency_pmf(timing, len(twt_plan.src_hops))
-    dst_chain = chain_latency_pmf(timing, len(twt_plan.dst_hops))
+    src_hops, dst_hops = plan("twt", MESH, 0, dst)
+    src_chain = chain_latency_pmf(timing, len(src_hops))
+    dst_chain = chain_latency_pmf(timing, len(dst_hops))
     exact = {
         "hh": chain_latency_pmf(timing, MESH.hop_distance(0, dst)),
         # The chains take disjoint draws of one i.i.d. stream, so they are independent.
@@ -449,6 +449,27 @@ def test_a_lossy_run_seeds_one_stream_per_request(strategy, monkeypatch):
     report = run(gen_synthetic(spec, MESH, 2), cfg_for(strategy, n=2, seed=4, p_bsm=0.5))
     assert len(calls) == len(set(calls)) == report.inter_core_requests > 0
     assert any(request.distance > 1 for request in report.requests)  # some twt request has two chains
+
+
+@pytest.mark.parametrize("p_bsm", [1.0, 0.5])
+@pytest.mark.parametrize("strategy", ["hh", "twt"])
+def test_the_engine_plans_every_request_through_engine_plan(strategy, p_bsm, monkeypatch):
+    """Run and replay look plan up as a module global, the name that
+    perfbench/tracing.py wraps: one call per request, with cfg.strategy."""
+    strategies = []
+    real_plan = engine.plan
+
+    def counted(strategy, *args):
+        strategies.append(strategy)
+        return real_plan(strategy, *args)
+
+    monkeypatch.setattr(engine, "plan", counted)
+    spec = SynthSpec(target_depth=6, requests_per_layer=4, cr_mode=CrMode("random", 6), seed=5)
+    report = run(gen_synthetic(spec, MESH, 2), cfg_for(strategy, n=2, seed=4, p_bsm=p_bsm))
+    assert strategies == [strategy] * report.inter_core_requests
+    assert report.inter_core_requests > 0
+    report.hops  # the first read replays the run
+    assert strategies == [strategy] * (2 * report.inter_core_requests)
 
 
 def test_pipelined_hops_overlap_entanglement_generation():

@@ -110,12 +110,19 @@ def test_xy_routes_of_swapped_endpoints_differ_for_diagonal_pairs():
     assert forward != list(reversed(backward))
 
 
+# Width 1 is where a column link joins consecutive ids.
+LINK_MESHES = MESHES + [MeshTopology(1, 5), MeshTopology(5, 1)]
+
+
 def test_bsm_link_is_canonical_and_symmetric():
     t = MeshTopology(4, 4)
     assert t.bsm_link_between(1, 0) == (0, 1)
     assert t.bsm_link_between(3, 7) == (3, 7)
-    for a, b in t.bsm_links():
-        assert t.bsm_link_between(a, b) == t.bsm_link_between(b, a)
+    for mesh in LINK_MESHES:
+        for a in range(mesh.num_cores):
+            for b in range(mesh.num_cores):
+                if mesh.hop_distance(a, b) == 1:
+                    assert mesh.bsm_link_between(a, b) == (min(a, b), max(a, b)), (mesh, a, b)
 
 
 @pytest.mark.parametrize("t", [MeshTopology(w, h) for w, h in ((1, 1), (1, 5), (5, 1), (2, 3), (4, 4), (16, 16))],
@@ -138,6 +145,17 @@ def test_bsm_link_rejects_non_adjacent_pair():
         t.bsm_link_between(3, 4)  # consecutive ids on different rows
     with pytest.raises(ValueError, match="outside"):
         t.bsm_link_between(-1, 0)  # must not wrap around a table
+    for mesh in LINK_MESHES:
+        for a in range(mesh.num_cores):
+            for b in range(mesh.num_cores):
+                if mesh.hop_distance(a, b) != 1:
+                    with pytest.raises(ValueError, match="non-adjacent"):
+                        mesh.bsm_link_between(a, b)
+            for outside in (-1, mesh.num_cores):
+                with pytest.raises(ValueError, match="outside"):
+                    mesh.bsm_link_between(a, outside)
+                with pytest.raises(ValueError, match="outside"):
+                    mesh.bsm_link_between(outside, a)
 
 
 def test_rejects_degenerate_dimensions():
