@@ -18,6 +18,7 @@ whitespace-separated decimal integers.
 from __future__ import annotations
 
 import gc
+import io
 from dataclasses import dataclass
 from functools import cached_property, wraps
 
@@ -162,7 +163,7 @@ def parse_circuit(text: str) -> Circuit:
     """
     num_qubits = None
     ops: list[tuple[str, tuple[int, ...]]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -24,12 +24,13 @@ strategy, so hh and twt draw the same d attempt counts, in the same order,
 for a request between the same cores.
 
 Each hop gets a slot when its request is planned, so a layer's slots run in
-(gate id, chain, hop index) order. The layer keeps each hop's destination
-core, qubit, attempts and finish in lists indexed by slot; the run keeps
-every link's free time in a list indexed by topology.link_index. Qubits
-move as their hops finish, ties in finish going by slot: a stable sort of
-the slots by finish gives the relocation order, which the placement map
-applies in one call.
+(gate id, chain, hop index) order, and a chain ends at the slot its grant
+heap entry carries. The layer keeps each hop's destination core, qubit,
+attempts and finish in lists indexed by slot; the run keeps every link's
+free time in a list indexed by topology.link_index. Qubits move as their
+hops finish, ties in finish going by slot: a stable sort of the slots by
+finish gives the relocation order, which the placement map applies in one
+call. The map starts as the block mapping of n_per_core qubits a core.
 
 A run keeps only its totals. The first read of a report's hop or request
 records simulates the run again with logging on and stores both tuples; the
@@ -46,7 +47,9 @@ strictly sequential.
 
 Expanded depth, with one teleport marker per hop just before the gate that
 requested it, is counted per qubit in program order: the order in which each
-qubit's hops and gates complete.
+qubit's hops and gates complete. An inter-core gate first adds its markers
+to each moving qubit; then every two-qubit gate puts both operands one past
+the deeper of the two.
 """
 
 from __future__ import annotations
@@ -201,7 +204,7 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) 
     topo = cfg.topology
     timing = cfg.timing
     t_gate = timing.t_gate
-    placement = PlacementMap.initial_mapping(circuit.num_qubits, topo, cfg.n_per_core)
+    placement = PlacementMap(circuit.num_qubits, topo.num_cores, cfg.n_per_core)
     layers = layerize(circuit)  # looked up as a module global: perfbench/tracing.py wraps it
     gates = circuit.gates
     cores, relocate_all = placement.cores, placement.relocate_all
@@ -229,7 +232,7 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) 
         heap = []  # one _drain_hops entry per hop chain
         # Per hop, by slot: (gate_id, chain, hop_index) order, since a layer
         # lists its gate ids in ascending order.
-        hop_dst, hop_qubit, attempts, chain_end = [], [], [], []
+        hop_dst, hop_qubit, attempts = [], [], []
         requests = []  # (gate_id, src_core, dst_core, source hops, destination hops)
         for gate_id in layer:
             qubits = gates[gate_id].qubits
@@ -239,37 +242,33 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) 
             q_src, q_dst = qubits
             src_core = cores[q_src]
             dst_core = cores[q_dst]
-            if src_core == dst_core:
-                gate_level = level[q_src]
-                if level[q_dst] > gate_level:
-                    gate_level = level[q_dst]
-                level[q_src] = level[q_dst] = gate_level + 1
-                continue
-            src_hops, dst_hops = hops_of(strategy, topo, src_core, dst_core)
-            n_src, n_dst = len(src_hops), len(dst_hops)
-            # One teleport marker per hop on each moving qubit, before the gate.
-            level[q_src] += n_src
-            level[q_dst] += n_dst
-            level[q_src] = level[q_dst] = max(level[q_src], level[q_dst]) + 1
-            slot = len(attempts)
-            heap.append((now, slot, now, src_core))
-            if n_dst:
-                heap.append((now, slot + n_src, now, dst_core))
-            hop_dst += src_hops + dst_hops
-            hop_qubit += [q_src] * n_src + [q_dst] * n_dst
-            # Draws never depend on timing, so they are all made here, in
-            # one call: the source chain's hops, then the destination's.
-            attempts += attempts_of(timing, request_stream(cfg.seed, gate_id) if draws else None, n_src + n_dst)
-            chain_end += [False] * (n_src + n_dst)
-            chain_end[slot + n_src - 1] = chain_end[-1] = True
-            requests.append((gate_id, src_core, dst_core, n_src, n_dst))
+            if src_core != dst_core:
+                src_hops, dst_hops = hops_of(strategy, topo, src_core, dst_core)
+                n_src, n_dst = len(src_hops), len(dst_hops)
+                # One teleport marker per hop on each moving qubit, before the gate.
+                level[q_src] += n_src
+                level[q_dst] += n_dst
+                slot = len(attempts)
+                heap.append((now, slot, now, src_core, slot + n_src - 1))
+                if n_dst:
+                    heap.append((now, slot + n_src, now, dst_core, slot + n_src + n_dst - 1))
+                hop_dst += src_hops + dst_hops
+                hop_qubit += [q_src] * n_src + [q_dst] * n_dst
+                # Draws never depend on timing, so they are all made here, in
+                # one call: the source chain's hops, then the destination's.
+                attempts += attempts_of(timing, request_stream(cfg.seed, gate_id) if draws else None, n_src + n_dst)
+                requests.append((gate_id, src_core, dst_core, n_src, n_dst))
+            gate_level = level[q_src]  # max(), written out
+            if level[q_dst] > gate_level:
+                gate_level = level[q_dst]
+            level[q_src] = level[q_dst] = gate_level + 1
 
         layer_end = now + t_gate  # every gate ends here or later: a request arrives at now or later
         if not requests:
             now = layer_end
             continue
         granted = [] if logs is not None else None
-        finishes = _drain_hops(cfg, heap, hop_dst, attempts, chain_end, link_busy_until, comm_free_at, granted)
+        finishes = _drain_hops(cfg, heap, hop_dst, attempts, link_busy_until, comm_free_at, granted)
         # Stable: slots of equal finish keep their order, so this is
         # (finish, gate_id, chain, hop_index) order.
         order = sorted(range(len(finishes)), key=finishes.__getitem__)
@@ -310,16 +309,16 @@ def _simulate(circuit: Circuit, cfg: SimConfig, logs: tuple[list, list] | None) 
     )
 
 
-def _drain_hops(cfg, heap, hop_dst, attempts, chain_end, link_busy_until, comm_free_at, granted):
+def _drain_hops(cfg, heap, hop_dst, attempts, link_busy_until, comm_free_at, granted):
     """Grant every hop of the layer's chains; return each slot's finish.
 
     heap holds one entry per chain, for its next hop: (ready, slot, data_at,
-    src). The chain's qubit is at core src from data_at on. A chain's hops
-    have consecutive slots, fixed at planning: hop_dst[slot] is the core the
-    hop goes to, attempts[slot] its entanglement attempts, and
-    chain_end[slot] whether it is its chain's last. Slots are unique and
-    run in (gate_id, chain, hop_index) order, so entries pop in the order
-    the module docstring gives. Grants update
+    src, last). The chain's qubit is at core src from data_at on, and last
+    is the slot of the chain's last hop. A chain's hops have consecutive
+    slots, fixed at planning: hop_dst[slot] is the core the hop goes to and
+    attempts[slot] its entanglement attempts. Slots are unique and run in
+    (gate_id, chain, hop_index) order, so entries pop in the order the
+    module docstring gives and never compare last. Grants update
     link_busy_until and comm_free_at in place. granted, unless None, gets
     each hop's (slot, src, start) in grant order.
     """
@@ -337,7 +336,7 @@ def _drain_hops(cfg, heap, hop_dst, attempts, chain_end, link_busy_until, comm_f
     # Same arithmetic as max(), written out; TimingConfig rejects NaN, on
     # which the two would differ.
     while heap:
-        ready, slot, data_at, src = heappop(heap)
+        ready, slot, data_at, src, last = heappop(heap)
         dst = hop_dst[slot]
         link = link_index(src, dst)
         start = link_busy_until[link]
@@ -360,8 +359,8 @@ def _drain_hops(cfg, heap, hop_dst, attempts, chain_end, link_busy_until, comm_f
         finishes[slot] = finish
         if granted is not None:
             granted.append((slot, src, start))
-        if not chain_end[slot]:
-            heappush(heap, (ready if pipelined else finish, slot + 1, finish, dst))
+        if slot != last:
+            heappush(heap, (ready if pipelined else finish, slot + 1, finish, dst, last))
     return finishes
 
 

@@ -23,6 +23,7 @@ generators; this module only arranges runs and formats rows.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -84,7 +85,7 @@ def parse_config(text: str, source: str = "<config>") -> dict[str, str]:
     """The key-value lines of a config file; a key set twice is an error."""
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from .topology import MeshTopology
-
 
 class CapacityError(ValueError):
     """More qubits than the mesh can hold."""
@@ -12,33 +10,25 @@ class CapacityError(ValueError):
 class PlacementMap:
     """Mutable qubit -> core map with per-core occupancy counts.
 
-    cores lists each qubit's core, and peak is the highest occupancy any core
-    has held since the map was built. A core may be pushed past its capacity
-    of computation qubits; the move succeeds and is reported as congestion
+    A map starts as the block mapping: qubit i on core i // capacity. cores
+    lists each qubit's core, and peak is the highest occupancy any core has
+    held since the map was built. A core may be pushed past its capacity of
+    computation qubits; the move succeeds and is reported as congestion
     rather than rejected. Owned and mutated by a single simulation run, which
     applies each layer's moves in one relocate_all call; relocate is the
     range-checked single move.
     """
 
-    def __init__(self, qubit_core: list[int], num_cores: int, capacity: int):
-        self.capacity = capacity
-        self.cores = list(qubit_core)
-        self._core_load = [0] * num_cores
-        for qubit, core in enumerate(self.cores):
-            if not (0 <= core < num_cores):
-                raise ValueError(f"qubit {qubit} placed on core {core}, outside 0..{num_cores - 1}")
-            self._core_load[core] += 1
-        self.peak = max(self._core_load, default=0)
-
-    @classmethod
-    def initial_mapping(cls, num_qubits: int, topology: MeshTopology, n_per_core: int) -> "PlacementMap":
-        """Block 1:1 mapping: qubit i starts on core i // n_per_core."""
-        if n_per_core < 1:
+    def __init__(self, num_qubits: int, num_cores: int, capacity: int):
+        if capacity < 1:
             raise ValueError("n_per_core must be positive")
-        limit = topology.num_cores * n_per_core
-        if num_qubits > limit:
-            raise CapacityError(f"{num_qubits} qubits exceed {topology.num_cores} cores x {n_per_core}")
-        return cls([q // n_per_core for q in range(num_qubits)], topology.num_cores, n_per_core)
+        if num_qubits > num_cores * capacity:
+            raise CapacityError(f"{num_qubits} qubits exceed {num_cores} cores x {capacity}")
+        self.capacity = capacity
+        self.cores = [q // capacity for q in range(num_qubits)]
+        full, rest = divmod(num_qubits, capacity)  # full cores, then one holding the rest
+        self._core_load = ([capacity] * full + [rest] + [0] * num_cores)[:num_cores]
+        self.peak = min(num_qubits, capacity)
 
     def relocate(self, qubit: int, to: int) -> bool:
         """Move a qubit to a core; True means the destination is now over

@@ -72,24 +72,24 @@ def layer_bounds(requests, hops, cfg) -> dict[float, tuple[float, float, float, 
     timing = cfg.timing
     t_epr, tail = timing.t_epr, timing.t_meas + timing.t_classical + timing.t_correct
     issue_of = {request.gate_id: request.issue for request in requests}
-    chain_end: dict[tuple, float] = {}  # (issue, gate, chain) -> the chain's floor end so far
+    chain_floor: dict[tuple, float] = {}  # (issue, gate, chain) -> the chain's floor end so far
     link_held: dict[tuple, float] = {}  # (issue, link) -> sum of d
     core_held: dict[tuple, float] = {}  # (issue, core) -> sum of d
     for hop in sorted(hops, key=lambda h: (h.gate_id, h.chain, h.hop_index)):
         issue = issue_of[hop.gate_id]
         key = (issue, hop.gate_id, hop.chain)
-        f = chain_end.get(key, issue)
+        f = chain_floor.get(key, issue)
         if cfg.pipeline_hops:
             f = max(issue + hop.attempts * t_epr, f) + tail
         else:
             f = (f + hop.attempts * t_epr) + tail
-        chain_end[key] = f
+        chain_floor[key] = f
         d = hop.attempts * t_epr + tail
         link_held[issue, hop.link] = link_held.get((issue, hop.link), 0.0) + d
         for core in (hop.src_core, hop.dst_core):
             core_held[issue, core] = core_held.get((issue, core), 0.0) + d
     critical = _max_per_issue({(r.issue, r.gate_id): r.latency for r in requests})
-    latest_end, busiest_link, busiest_core = map(_max_per_issue, (chain_end, link_held, core_held))
+    latest_end, busiest_link, busiest_core = map(_max_per_issue, (chain_floor, link_held, core_held))
     m = cfg.m_per_core
     return {issue: (critical[issue], latest_end[issue] - issue, busiest_link[issue], busiest_core[issue] / m)
             for issue in sorted(critical)}

@@ -167,6 +167,20 @@ def test_parse_rejects_malformed_lines():
         parse_circuit("# nothing\n")
 
 
+# Characters str.splitlines() breaks at but a file read in text mode does not.
+NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=lambda c: f"U+{ord(c):04X}")
+def test_parse_ends_lines_only_at_newline_and_carriage_return(char):
+    """Inside a line such a character is whitespace between fields, or part of a comment."""
+    text = f"qubits 2\r\ncx 0{char}1  # a{char}b\rh 1\n"
+    assert parse_circuit(text).gates == (Gate("cx", (0, 1)), Gate("h", (1,)))
+    with pytest.raises(ParseError) as err:
+        parse_circuit(text.replace("h 1", "h 9"))
+    assert str(err.value) == "line 3: operand 9 outside 0..1"
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_serialize_parse_roundtrip(seed):
     c = random_circuit(8, 35, seed)

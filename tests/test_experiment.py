@@ -59,6 +59,16 @@ def test_parse_config_reports_file_and_line():
     assert "exp.cfg:2" in str(err.value)
 
 
+# Characters str.splitlines() breaks at but a file read in text mode does not.
+@pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+                         ids=lambda c: f"U+{ord(c):04X}")
+def test_parse_config_ends_lines_only_at_newline_and_carriage_return(char):
+    text = f"workload = qft  # a{char}y\r\nqft.qubits{char}= 4\r"
+    assert parse_config(text) == {"workload": "qft", "qft.qubits": "4"}
+    with pytest.raises(ConfigError, match="^exp.cfg:3: expected key = value, got 'bogus'$"):
+        parse_config(text + "bogus\n", source="exp.cfg")
+
+
 def test_merge_rejects_unknown_keys():
     with pytest.raises(ConfigError, match=r"unknown config key 'qft.qubitz'; did you mean 'qft.qubits'\?"):
         merge_config({"qft.qubitz": "4"})
@@ -546,6 +556,20 @@ def test_a_circuit_file_may_start_with_a_byte_order_mark(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path / "plain")
     plain = _cli_outputs(["run", "--workload", "qft4.qc"], "out")
     monkeypatch.chdir(tmp_path / "bom")
+    assert _cli_outputs(["run", "--workload", "qft4.qc"], "out") == plain
+
+
+def test_a_circuit_file_ends_lines_only_at_newline_and_carriage_return(tmp_path, monkeypatch):
+    """Form feeds between operands and U+2028, NEL and vertical tabs in
+    comments change no output; CRLF and a lone CR each end one line."""
+    text = serialize_circuit(gen_qft(4))
+    odd = "# qft\u2028h 9\r\n" + text.replace(" ", "\f").replace("\n", "\v# a\x85h 9\r")
+    for name, body in (("plain", text), ("odd", odd)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "qft4.qc").write_bytes(body.encode())
+    monkeypatch.chdir(tmp_path / "plain")
+    plain = _cli_outputs(["run", "--workload", "qft4.qc"], "out")
+    monkeypatch.chdir(tmp_path / "odd")
     assert _cli_outputs(["run", "--workload", "qft4.qc"], "out") == plain
 
 
